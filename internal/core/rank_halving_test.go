@@ -45,7 +45,13 @@ func TestRankHalvingDegeneratesToFlat(t *testing.T) {
 	}{
 		{"eta1", func() RankConfig { rc := base; rc.Halving = true; rc.Eta = 1; return rc }()},
 		{"minEpochs=epochs", func() RankConfig { rc := base; rc.Halving = true; rc.Eta = 2; rc.MinEpochs = base.Epochs; return rc }()},
-		{"minEpochs>epochs", func() RankConfig { rc := base; rc.Halving = true; rc.Eta = 3; rc.MinEpochs = base.Epochs + 5; return rc }()},
+		{"minEpochs>epochs", func() RankConfig {
+			rc := base
+			rc.Halving = true
+			rc.Eta = 3
+			rc.MinEpochs = base.Epochs + 5
+			return rc
+		}()},
 	}
 	for _, tc := range cases {
 		got := RankCandidatesResult(context.Background(), rep, net.Input, tc.rc)

@@ -8,11 +8,12 @@ package memtrace
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Kind is the direction of a memory access.
@@ -346,11 +347,23 @@ func (iv Interval) Overlaps(o Interval) bool { return iv.Lo < o.Hi && o.Lo < iv.
 // structures ("FMAPs and filters are stored as arrays... each in its own
 // contiguous memory locations").
 func CoalesceIntervals(ivs []Interval, gap uint64) []Interval {
-	if len(ivs) == 0 {
+	sorted := slices.Clone(ivs)
+	SortIntervals(sorted)
+	return CoalesceSorted(sorted, gap)
+}
+
+// SortIntervals sorts ivs in place by Lo. Callers that coalesce one set at
+// several gaps sort it once and call CoalesceSorted per gap.
+func SortIntervals(ivs []Interval) {
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
+}
+
+// CoalesceSorted is CoalesceIntervals over intervals already sorted by Lo
+// (see SortIntervals); it leaves sorted unchanged.
+func CoalesceSorted(sorted []Interval, gap uint64) []Interval {
+	if len(sorted) == 0 {
 		return nil
 	}
-	sorted := append([]Interval(nil), ivs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
 	out := []Interval{sorted[0]}
 	for _, iv := range sorted[1:] {
 		last := &out[len(out)-1]
@@ -363,33 +376,4 @@ func CoalesceIntervals(ivs []Interval, gap uint64) []Interval {
 		}
 	}
 	return out
-}
-
-// SubtractOverlap removes iv's intersection from the disjoint, sorted
-// interval set and returns the updated set plus the number of bytes
-// removed. Used to attribute reads to their most recent writers.
-func SubtractOverlap(set []Interval, iv Interval) ([]Interval, uint64) {
-	var out []Interval
-	var removed uint64
-	for _, s := range set {
-		if !s.Overlaps(iv) {
-			out = append(out, s)
-			continue
-		}
-		lo, hi := iv.Lo, iv.Hi
-		if s.Lo > lo {
-			lo = s.Lo
-		}
-		if s.Hi < hi {
-			hi = s.Hi
-		}
-		removed += hi - lo
-		if s.Lo < lo {
-			out = append(out, Interval{Lo: s.Lo, Hi: lo})
-		}
-		if hi < s.Hi {
-			out = append(out, Interval{Lo: hi, Hi: s.Hi})
-		}
-	}
-	return out, removed
 }

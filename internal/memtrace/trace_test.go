@@ -319,26 +319,6 @@ func TestIntervalHelpers(t *testing.T) {
 	}
 }
 
-func TestSubtractOverlap(t *testing.T) {
-	set := []Interval{{0, 100}}
-	set, n := SubtractOverlap(set, Interval{40, 60})
-	if n != 20 || len(set) != 2 || set[0] != (Interval{0, 40}) || set[1] != (Interval{60, 100}) {
-		t.Fatalf("split: set=%v n=%d", set, n)
-	}
-	set, n = SubtractOverlap(set, Interval{0, 50})
-	if n != 40 || len(set) != 1 || set[0] != (Interval{60, 100}) {
-		t.Fatalf("left clip: set=%v n=%d", set, n)
-	}
-	set, n = SubtractOverlap(set, Interval{200, 300})
-	if n != 0 || len(set) != 1 {
-		t.Fatalf("disjoint: set=%v n=%d", set, n)
-	}
-	set, n = SubtractOverlap(set, Interval{0, 1000})
-	if n != 40 || len(set) != 0 {
-		t.Fatalf("consume all: set=%v n=%d", set, n)
-	}
-}
-
 type failWriter struct{ n int }
 
 func (f *failWriter) Write(p []byte) (int, error) {

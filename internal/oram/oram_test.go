@@ -165,8 +165,8 @@ func TestObfuscateRejectsHostileConfigs(t *testing.T) {
 		{Z: -1 << 40},
 		{Z: maxZ + 1},
 		{BlockBytes: -64},
-		{BlockBytes: 48},             // not a power of two
-		{BlockBytes: 3},              // not a power of two
+		{BlockBytes: 48}, // not a power of two
+		{BlockBytes: 3},  // not a power of two
 		{BlockBytes: memtrace.MaxBlockBytes * 2},
 		{Z: -1, BlockBytes: -1},
 	} {

@@ -150,9 +150,9 @@ type attackRequest struct {
 	// frontend's bound verbatim instead of re-merging against their own.
 	capResolved bool
 	maxReturn   int
-	rank          *rankParams
-	weights       bool
-	timeout       time.Duration
+	rank        *rankParams
+	weights     bool
+	timeout     time.Duration
 	// dataflow selects the accelerator backend: the capture schedule in
 	// simulate mode, the adversary's declared scheduling prior in trace mode
 	// (either way the job's own detection result is reported back).
@@ -358,7 +358,7 @@ type attackResponse struct {
 	Cached        bool             `json:"cached,omitempty"` // served from the result cache; job_id/stage_ms describe the job that computed it
 	Tolerant      bool             `json:"tolerant,omitempty"`
 	Corrupted     bool             `json:"corrupted,omitempty"`
-	Defense       *defenseJSON     `json:"defense,omitempty"` // defensive transform applied before analysis, with measured overheads
+	Defense       *defenseJSON     `json:"defense,omitempty"`           // defensive transform applied before analysis, with measured overheads
 	Dataflow      string           `json:"dataflow,omitempty"`          // accelerator scheduling the job ran under (simulate: capture backend; trace: declared prior)
 	DetectedDF    string           `json:"detected_dataflow,omitempty"` // scheduling class auto-detected from the trace; "ambiguous" when evidence is insufficient
 	Noise         *noiseJSON       `json:"noise,omitempty"`

@@ -241,9 +241,10 @@ func filterInterference(accs []memtrace.Access, bb int, topt TolerantOptions) ([
 	for i, a := range accs {
 		ivs[i] = intervalOf(a, bb)
 	}
-	clusters := memtrace.CoalesceIntervals(ivs, topt.RegionGap)
+	memtrace.SortIntervals(ivs)
+	clusters := memtrace.CoalesceSorted(ivs, topt.RegionGap)
 	covered := make([]uint64, len(clusters))
-	for _, iv := range memtrace.CoalesceIntervals(ivs, 0) {
+	for _, iv := range memtrace.CoalesceSorted(ivs, 0) {
 		// A zero-gap interval lies inside exactly one gap-coalesced cluster.
 		if ci := regionIndex(clusters, iv.Lo); ci >= 0 {
 			covered[ci] += iv.Bytes()
@@ -288,8 +289,8 @@ func filterInterference(accs []memtrace.Access, bb int, topt TolerantOptions) ([
 		return accs, st
 	}
 	kept := make([]memtrace.Access, 0, len(accs))
-	for i, a := range accs {
-		if ci := regionIndex(clusters, ivs[i].Lo); ci >= 0 && drop[ci] {
+	for _, a := range accs {
+		if ci := regionIndex(clusters, a.Addr); ci >= 0 && drop[ci] {
 			st.InterferenceAccesses++
 			continue
 		}
@@ -298,12 +299,55 @@ func filterInterference(accs []memtrace.Access, bb int, topt TolerantOptions) ([
 	return kept, st
 }
 
+// segAcc accumulates one segment during the boundary scan.
+type segAcc struct {
+	start      uint64
+	roIdx      int // filter region index, -1 if none yet
+	firstIdx   int
+	readsInput bool
+	fmapReads  []memtrace.Interval
+	writeSpans []memtrace.Interval
+	// trailing counts the fmap reads issued after the segment's last
+	// write; on a filter-region boundary they are re-attributed to the
+	// new layer (they are its stale-IFM prefetch).
+	trailing int
+	// readRegions tracks the fmap regions this segment has read, so the
+	// tolerant path can recognize a reordered producer write straggling
+	// in after its consumer already started (layers never write a region
+	// they read).
+	readRegions map[int]bool
+	// bytes is the total traffic attributed to this segment; the
+	// tolerant path folds negligible segments into a neighbor.
+	bytes uint64
+}
+
+// writeRec is one write and the segment it is attributed to.
+type writeRec struct {
+	iv  memtrace.Interval
+	seg int
+}
+
 func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bool, topt TolerantOptions) (*Analysis, error) {
+	res, segs, writes, err := segmentTrace(tr, inputBytes, elemBytes, tolerant, topt)
+	if err != nil {
+		return nil, err
+	}
+	attributeDeps(res, segs, writes, topt.MinDepFrac)
+	return res, nil
+}
+
+// segmentTrace runs every analysis step but dependency attribution: it
+// builds the feature-map and read-only regions, scans the trace for layer
+// boundaries, and fills res.Segments with everything except Inputs. It
+// also returns the segments' accumulators, each with its fmapReads and
+// writeSpans sorted by Lo, and every write in trace order labelled with
+// its segment.
+func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bool, topt TolerantOptions) (*Analysis, []*segAcc, []writeRec, error) {
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("structrev: %w", err)
+		return nil, nil, nil, fmt.Errorf("structrev: %w", err)
 	}
 	if len(tr.Accesses) == 0 {
-		return nil, fmt.Errorf("structrev: empty trace")
+		return nil, nil, nil, fmt.Errorf("structrev: empty trace")
 	}
 	bb := tr.BlockBytes
 
@@ -312,19 +356,27 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	if tolerant {
 		accs, noise = filterInterference(accs, bb, topt)
 		if len(accs) == 0 {
-			return nil, fmt.Errorf("structrev: every access cluster fell below the interference density threshold")
+			return nil, nil, nil, fmt.Errorf("structrev: every access cluster fell below the interference density threshold")
 		}
 	}
 
 	// Pass 1: global write space and read-only (filter + input) regions.
-	var writeIvs, readIvs []memtrace.Interval
+	nWrites := 0
+	for _, a := range accs {
+		if a.Kind == memtrace.Write {
+			nWrites++
+		}
+	}
+	if nWrites == len(accs) {
+		return nil, nil, nil, fmt.Errorf("structrev: trace has no reads")
+	}
+	writeIvs := make([]memtrace.Interval, 0, nWrites)
 	for _, a := range accs {
 		if a.Kind == memtrace.Write {
 			writeIvs = append(writeIvs, intervalOf(a, bb))
-		} else {
-			readIvs = append(readIvs, intervalOf(a, bb))
 		}
 	}
+	memtrace.SortIntervals(writeIvs)
 	// Feature-map regions: clusters of the written address space. The
 	// allocator separates distinct data structures by guard pages, so a
 	// zero-gap coalesce recovers them (a zero-copy concatenated output forms
@@ -335,7 +387,7 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	if tolerant {
 		fmapGap = topt.RegionGap
 	}
-	fmapRegions := memtrace.CoalesceIntervals(writeIvs, fmapGap)
+	fmapRegions := memtrace.CoalesceSorted(writeIvs, fmapGap)
 	// A dropped write at the very edge of an output region shrinks the
 	// write-derived region, orphaning the reads of that edge chunk; left
 	// alone they would form a phantom read-only region and fire boundary
@@ -347,8 +399,12 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	if tolerant {
 		edgeSlack = topt.RegionGap / 2
 	}
-	var roIvs []memtrace.Interval
-	for _, iv := range readIvs {
+	roIvs := make([]memtrace.Interval, 0, len(accs)-nWrites)
+	for _, a := range accs {
+		if a.Kind != memtrace.Read {
+			continue
+		}
+		iv := intervalOf(a, bb)
 		test := iv
 		if tolerant {
 			if test.Lo >= edgeSlack {
@@ -366,6 +422,7 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 			roIvs = append(roIvs, iv)
 		}
 	}
+	memtrace.SortIntervals(roIvs)
 	// A small gap tolerance bridges rows a strided convolution never samples
 	// (e.g. AlexNet conv1 leaves the last input row unread); it stays well
 	// under the allocator's page-granular separation of distinct regions.
@@ -373,13 +430,13 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	if tolerant && topt.RegionGap > roGap {
 		roGap = topt.RegionGap
 	}
-	roRegions := memtrace.CoalesceIntervals(roIvs, roGap)
+	roRegions := memtrace.CoalesceSorted(roIvs, roGap)
 	if tolerant {
 		var roExtent, roCov uint64
 		for _, r := range roRegions {
 			roExtent += r.Bytes()
 		}
-		for _, iv := range memtrace.CoalesceIntervals(roIvs, 0) {
+		for _, iv := range memtrace.CoalesceSorted(roIvs, 0) {
 			roCov += iv.Bytes()
 		}
 		if roExtent > 0 {
@@ -394,16 +451,6 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	// by first access keeps the identification dataflow-independent: a
 	// weight-stationary accelerator streams filters before its first IFM
 	// tile.)
-	hasRead := false
-	for _, a := range accs {
-		if a.Kind == memtrace.Read {
-			hasRead = true
-			break
-		}
-	}
-	if !hasRead {
-		return nil, fmt.Errorf("structrev: trace has no reads")
-	}
 	inputIdx := -1
 	bestDiff := 1 << 62
 	for _, a := range accs {
@@ -430,7 +477,7 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 		}
 	}
 	if inputIdx < 0 {
-		return nil, fmt.Errorf("structrev: no read-only region matches the declared %d-byte input", inputBytes)
+		return nil, nil, nil, fmt.Errorf("structrev: no read-only region matches the declared %d-byte input", inputBytes)
 	}
 	inputRegion := roRegions[inputIdx]
 
@@ -443,33 +490,9 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	//  (b) a read streams a different filter region than the one the
 	//      current segment has been using (two back-to-back layers can
 	//      share an IFM, as in fire-module expand convolutions).
-	type segAcc struct {
-		start      uint64
-		roIdx      int // filter region index, -1 if none yet
-		firstIdx   int
-		readsInput bool
-		fmapReads  []memtrace.Interval
-		writeSpans []memtrace.Interval
-		// trailing counts the fmap reads issued after the segment's last
-		// write; on a filter-region boundary they are re-attributed to the
-		// new layer (they are its stale-IFM prefetch).
-		trailing int
-		// readRegions tracks the fmap regions this segment has read, so the
-		// tolerant path can recognize a reordered producer write straggling
-		// in after its consumer already started (layers never write a region
-		// they read).
-		readRegions map[int]bool
-		// bytes is the total traffic attributed to this segment; the
-		// tolerant path folds negligible segments into a neighbor.
-		bytes uint64
-	}
 	var segs []*segAcc
-	// writtenBy records which segment wrote each interval, in trace order.
-	type writeRec struct {
-		iv  memtrace.Interval
-		seg int
-	}
-	var allWrites []writeRec
+	// allWrites records which segment wrote each interval, in trace order.
+	allWrites := make([]writeRec, 0, nWrites)
 	fresh := make([]bool, len(fmapRegions))
 	// inputConsumerRo is the filter region of the layer that consumes the
 	// network input (layer 0); an input read from any other layer marks the
@@ -667,7 +690,8 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 	}
 
 	// Assemble Segment records.
-	res := &Analysis{InputRegion: inputRegion, ElemBytes: elemBytes, BlockBytes: bb, Tolerant: tolerant}
+	res := &Analysis{InputRegion: inputRegion, ElemBytes: elemBytes, BlockBytes: bb, Tolerant: tolerant,
+		Segments: make([]Segment, 0, len(segs))}
 	if tolerant {
 		res.AddrSlack = topt.AddrSlack
 	}
@@ -697,7 +721,9 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 		} else {
 			seg.Kind = SegEltwise
 		}
-		if w := memtrace.CoalesceIntervals(sa.writeSpans, fmapGap); len(w) > 0 {
+		memtrace.SortIntervals(sa.writeSpans)
+		memtrace.SortIntervals(sa.fmapReads)
+		if w := memtrace.CoalesceSorted(sa.writeSpans, fmapGap); len(w) > 0 {
 			if tolerant {
 				// Take the dominant written cluster as the OFM: residual
 				// interference writes form small satellite clusters that must
@@ -707,7 +733,7 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 				// feature-map reads are skipped — a layer never writes its
 				// input, so such a cluster is a reordered producer write that
 				// straggled in before this segment first read the region.
-				readCover := memtrace.CoalesceIntervals(sa.fmapReads, topt.RegionGap)
+				readCover := memtrace.CoalesceSorted(sa.fmapReads, topt.RegionGap)
 				best := -1
 				for i := range w {
 					if overlapsAny(readCover, w[i]) {
@@ -728,7 +754,7 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 				}
 				seg.OFMRegion = w[best]
 				seg.OFMBytes = w[best].Bytes()
-				for _, iv := range memtrace.CoalesceIntervals(sa.writeSpans, 0) {
+				for _, iv := range memtrace.CoalesceSorted(sa.writeSpans, 0) {
 					if iv.Lo >= w[best].Lo && iv.Hi <= w[best].Hi {
 						ofmCovered += iv.Bytes()
 					}
@@ -750,84 +776,12 @@ func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant boo
 		noise.WriteHoleFrac = 1 - float64(ofmCovered)/float64(ofmExtent)
 	}
 	res.Noise = noise
-
-	// Dependencies: attribute each segment's feature-map reads to their
-	// most recent earlier writers (a region may be rewritten across repeated
-	// inferences; only the freshest data is the layer's input).
-	firstWriteOfSeg := make([]int, len(segs)+1)
-	for i := range firstWriteOfSeg {
-		firstWriteOfSeg[i] = len(allWrites)
-	}
-	for wi := len(allWrites) - 1; wi >= 0; wi-- {
-		firstWriteOfSeg[allWrites[wi].seg] = wi
-	}
-	for si, sa := range segs {
-		fmr := memtrace.CoalesceIntervals(sa.fmapReads, 0)
-		depBytes := map[int]uint64{}
-		for _, iv := range fmr {
-			if inputRegion.Overlaps(iv) {
-				// Regions are guard-separated; a read never spans the input
-				// region and a feature map.
-				depBytes[-1] += clip(iv, inputRegion).Bytes()
-				continue
-			}
-			remaining := []memtrace.Interval{iv}
-			for wi := firstWriteOfSeg[si] - 1; wi >= 0 && len(remaining) > 0; wi-- {
-				wr := allWrites[wi]
-				var removed uint64
-				remaining, removed = memtrace.SubtractOverlap(remaining, wr.iv)
-				if removed > 0 {
-					depBytes[wr.seg] += removed
-				}
-			}
-		}
-		if tolerant && len(depBytes) > 1 {
-			// Prune negligible edges: residual interference reads that alias
-			// an earlier interference write masquerade as tiny dependencies
-			// and would wreck inputDims.
-			var tot uint64
-			for _, b := range depBytes {
-				tot += b
-			}
-			for p, b := range depBytes {
-				if float64(b) < topt.MinDepFrac*float64(tot) {
-					delete(depBytes, p)
-					res.Noise.DroppedDeps++
-				}
-			}
-		}
-		regionLo := func(p int) uint64 {
-			if p < 0 {
-				return inputRegion.Lo
-			}
-			return res.Segments[p].OFMRegion.Lo
-		}
-		var inputs []SegInput
-		for p, b := range depBytes {
-			inputs = append(inputs, SegInput{Producer: p, Bytes: b})
-		}
-		sort.Slice(inputs, func(i, j int) bool {
-			return regionLo(inputs[i].Producer) < regionLo(inputs[j].Producer)
-		})
-		// Mark concatenation adjacency.
-		for k := 1; k < len(inputs); k++ {
-			prev, this := inputs[k-1].Producer, inputs[k].Producer
-			if prev >= 0 && this >= 0 {
-				a := res.Segments[prev].OFMRegion
-				b := res.Segments[this].OFMRegion
-				if adjacentAddrs(a.Hi, b.Lo, res.AddrSlack) {
-					inputs[k].Adjacent = true
-				}
-			}
-		}
-		res.Segments[si].Inputs = inputs
-	}
-	return res, nil
+	return res, segs, allWrites, nil
 }
 
 // regionIndexNear is regionIndex with an edge tolerance: it also matches an
 // address within slack bytes of a region's boundary (see edgeSlack in
-// analyzeWith).
+// segmentTrace).
 func regionIndexNear(regions []memtrace.Interval, addr uint64, slack uint64) int {
 	i := sort.Search(len(regions), func(i int) bool { return regions[i].Hi > addr })
 	if i < len(regions) {

@@ -28,12 +28,18 @@ var allDataflows = []accel.Dataflow{accel.OutputStationary, accel.WeightStationa
 // seed 2, otherwise default configuration).
 func captureDataflowTrace(t *testing.T, net *nn.Network, df accel.Dataflow) *memtrace.Trace {
 	t.Helper()
+	return captureSeeded(t, net, df, 2)
+}
+
+// captureSeeded is captureDataflowTrace with the given input seed.
+func captureSeeded(t *testing.T, net *nn.Network, df accel.Dataflow, inputSeed int64) *memtrace.Trace {
+	t.Helper()
 	net.InitWeights(1)
 	sim, err := accel.New(net, accel.Config{Dataflow: df})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
+	rng := rand.New(rand.NewSource(inputSeed))
 	x := make([]float32, net.Input.Len())
 	for i := range x {
 		x[i] = float32(rng.NormFloat64())

@@ -127,6 +127,16 @@ func FuzzAnalyzeHostile(f *testing.F) {
 		}
 		f.Add(buf.Bytes(), 64, int64(1))
 	}
+	// Hostile write order for dependency attribution: descending
+	// single-block writes with holes, then one read spanning them (see
+	// TestAnalyzeDescendingWrites), with its 4 KiB input size declared.
+	{
+		var buf bytes.Buffer
+		if err := descendingWritesTrace(512).Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), 4096, int64(0))
+	}
 	f.Add([]byte{}, 1, int64(0))
 
 	f.Fuzz(func(t *testing.T, raw []byte, inputBytes int, corruptSeed int64) {

@@ -58,6 +58,37 @@ var goldenDataflows = []struct {
 	{".rs", accel.RowStationary, DataflowRowStationary},
 }
 
+// namedTrace is a trace and the input size its analysis declares.
+type namedTrace struct {
+	name       string
+	tr         *memtrace.Trace
+	inputBytes int
+}
+
+// goldenTraces decodes the committed corpus, every victim under every
+// dataflow; -short skips the victims the golden tests skip.
+func goldenTraces(tb testing.TB) []namedTrace {
+	tb.Helper()
+	var out []namedTrace
+	for _, gc := range goldenCases {
+		if testing.Short() && !gc.short {
+			continue
+		}
+		for _, gd := range goldenDataflows {
+			raw, err := os.ReadFile(filepath.Join("testdata", "golden", gc.model+gd.suffix+".trace"))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tr, err := memtrace.DecodeTrace(raw)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, namedTrace{gc.model + gd.suffix, tr, gc.inW * gc.inW * gc.inD * 4})
+		}
+	}
+	return out
+}
+
 // TestGoldenTraceConformance is the end-to-end regression gate for the
 // attack pipeline: it decodes each committed trace, re-derives the dataflow
 // graph, and pins both the graph report and the candidate count. Any change
