@@ -380,6 +380,25 @@ func BenchmarkAccelTraceAlexNet(b *testing.B) {
 	}
 }
 
+// benchCapture times the adversary's capture of full-size AlexNet under one
+// dataflow: core.Capture, which records the trace without computing the
+// layers. BenchmarkAccelTraceAlexNet is the computing Run it replaces.
+func benchCapture(b *testing.B, df accel.Dataflow) {
+	b.ReportAllocs()
+	net := nn.AlexNet(1000, 1)
+	net.InitWeights(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Capture(net, accel.Config{Dataflow: df}, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCapture_OS(b *testing.B) { benchCapture(b, accel.OutputStationary) }
+func BenchmarkCapture_WS(b *testing.B) { benchCapture(b, accel.WeightStationary) }
+func BenchmarkCapture_RS(b *testing.B) { benchCapture(b, accel.RowStationary) }
+
 func BenchmarkSolveAlexNet(b *testing.B) {
 	b.ReportAllocs()
 	net := nn.AlexNet(1000, 1)

@@ -224,7 +224,9 @@ func DetectTraceDataflow(tr *Trace, input Shape) (DataflowDetection, error) {
 	return structrev.DetectDataflow(tr, a, structrev.DetectOptions{}), nil
 }
 
-// CaptureTrace runs one inference and returns the observable trace.
+// CaptureTrace observes one inference and returns the trace. Unless cfg
+// zero-prunes, no layer is computed: the trace does not depend on the
+// values.
 func CaptureTrace(net *Network, cfg AccelConfig, seed int64) (*Trace, error) {
 	cap, err := core.Capture(net, cfg, seed)
 	if err != nil {

@@ -6,7 +6,8 @@
 // output-feature-map (OFM) bursts, and a cycle counter from a compute-bound
 // PE-array model. With ZeroPrune enabled, OFM writes are run-length
 // compressed per output channel, leaking the non-zero pixel counts that the
-// paper's weight attack exploits.
+// paper's weight attack exploits. Without it the trace is data-oblivious,
+// and Observe records it without computing any layer.
 package accel
 
 import (
@@ -192,9 +193,9 @@ type Layout struct {
 const regionAlign = 4096
 
 // Simulator runs a network on the modelled accelerator. A Simulator is safe
-// for concurrent Run/RunMany calls (each borrows an arena from an internal
-// pool); for allocation-free repeated inference give each goroutine its own
-// Session.
+// for concurrent Run/RunMany/Observe calls (each borrows an arena from an
+// internal pool); for allocation-free repeated inference give each goroutine
+// its own Session.
 type Simulator struct {
 	cfg Config
 	net *nn.Network
@@ -211,10 +212,14 @@ type Simulator struct {
 	// records per inference, used to pre-reserve Recorder capacity.
 	estAccesses int
 
-	sessions sync.Pool // *session arenas for Run/RunMany
+	sessions sync.Pool // *session arenas for Run/RunMany/Observe
 }
 
-// Result captures one inference run.
+// Result captures one inference run. Run, RunMany and Session fill every
+// field. Observe fills only the observables — Trace, LayerCycles,
+// LayerStartCycle and LayerAccessRange — plus NZCounts when the simulator
+// zero-prunes; its Logits and Acts are nil, because a trace-only run skips
+// the arithmetic that would produce them.
 type Result struct {
 	// Logits is the final layer output (identical to nn inference up to the
 	// configured activation semantics).

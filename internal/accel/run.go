@@ -10,7 +10,11 @@ import (
 )
 
 // session is the per-run simulation arena: every buffer one inference needs,
-// sized once from the network shapes and reused across runs. Simulators keep
+// sized once from the network shapes and reused across runs. The value
+// buffers (acts, cols, convScratch) are added by useValues on the first run
+// that computes, so trace-only runs never hold them, and the recorder's
+// capacity is reserved when each observation window opens, because Observe
+// may have handed the last window's buffer to its caller. Simulators keep
 // a sync.Pool of sessions, so both the one-shot Run/RunMany entry points and
 // long-lived Session handles reach a zero-allocation steady state — the §4
 // weight attack drives tens of thousands of oracle inferences through here,
@@ -23,7 +27,12 @@ type session struct {
 	rng   *rand.Rand // tile-latency jitter source (nil = no jitter)
 	x     []float32  // current input (caller-owned, valid during one run)
 
-	acts [][]float32 // per-layer output activations
+	// compute gates the layer arithmetic for the current run. A run that
+	// computes needs the value buffers (acts, cols, convScratch), which
+	// useValues allocates on the first such run; trace-only runs without
+	// pruning never touch them.
+	compute bool
+	acts    [][]float32 // per-layer output activations
 	// accRange[i] brackets layer i's records in the recorder: its trace
 	// entries are Accesses[accRange[i][0]:accRange[i][1]]. Layers a prefix
 	// run skipped carry an empty range at the trace end.
@@ -45,12 +54,12 @@ type session struct {
 	order       []int     // eltwise producer-order scratch
 }
 
-// newSession allocates a fully-sized arena for one concurrent inference.
+// newSession allocates an arena for one concurrent inference: everything but
+// the value buffers, which useValues adds for runs that compute.
 func (s *Simulator) newSession() *session {
 	n := s.net
 	se := &session{
 		rec:        memtrace.NewRecorder(s.cfg.BlockBytes),
-		acts:       make([][]float32, len(n.Specs)),
 		accRange:   make([][2]int, len(n.Specs)),
 		chanBytes:  make([][]int, len(n.Specs)),
 		pruned:     make([]bool, len(n.Specs)),
@@ -59,16 +68,36 @@ func (s *Simulator) newSession() *session {
 		layerStart: make([]uint64, len(n.Specs)),
 		layerCyc:   make([]uint64, len(n.Specs)),
 	}
-	se.rec.Reserve(s.estAccesses)
-	maxCols, maxPooledConv, maxEltIn := 0, 0, 0
+	maxEltIn := 0
 	for i := range n.Specs {
-		spec := &n.Specs[i]
-		se.acts[i] = make([]float32, n.Shapes[i].Len())
 		se.nz[i] = make([]int, n.Shapes[i].C)
 		se.chanBytes[i] = make([]int, n.Shapes[i].C)
 		se.chanStream[i] = make([]uint64, n.Shapes[i].C)
-		switch spec.Kind {
-		case nn.KindConv:
+		if spec := &n.Specs[i]; spec.Kind == nn.KindEltwise && len(spec.Inputs) > maxEltIn {
+			maxEltIn = len(spec.Inputs)
+		}
+	}
+	se.order = make([]int, maxEltIn)
+	if s.cfg.CycleJitter > 0 {
+		se.rng = rand.New(rand.NewSource(s.cfg.NoiseSeed))
+	}
+	return se
+}
+
+// useValues sets whether the session's next runs compute the layer
+// arithmetic, allocating the value buffers the first time they do.
+func (s *Simulator) useValues(se *session, compute bool) {
+	se.compute = compute
+	if !compute || se.acts != nil {
+		return
+	}
+	n := s.net
+	se.acts = make([][]float32, len(n.Specs))
+	maxCols, maxPooledConv := 0, 0
+	for i := range n.Specs {
+		spec := &n.Specs[i]
+		se.acts[i] = make([]float32, n.Shapes[i].Len())
+		if spec.Kind == nn.KindConv {
 			in := n.InShapes[i][0]
 			c := spec.ConvOut(in)
 			if k := in.C * spec.F * spec.F * c.H * c.W; k > maxCols {
@@ -77,28 +106,22 @@ func (s *Simulator) newSession() *session {
 			if spec.Pool != nn.PoolNone && c.Len() > maxPooledConv {
 				maxPooledConv = c.Len()
 			}
-		case nn.KindEltwise:
-			if len(spec.Inputs) > maxEltIn {
-				maxEltIn = len(spec.Inputs)
-			}
 		}
 	}
 	se.cols = make([]float32, maxCols)
 	se.convScratch = make([]float32, maxPooledConv)
-	se.order = make([]int, maxEltIn)
-	if s.cfg.CycleJitter > 0 {
-		se.rng = rand.New(rand.NewSource(s.cfg.NoiseSeed))
-	}
-	return se
 }
 
 // acquire takes an arena from the simulator's pool (allocating on first use
-// or after GC pressure drained the pool).
-func (s *Simulator) acquire() *session {
-	if se, ok := s.sessions.Get().(*session); ok {
-		return se
+// or after GC pressure drained the pool), set to compute or not for the run
+// ahead.
+func (s *Simulator) acquire(compute bool) *session {
+	se, ok := s.sessions.Get().(*session)
+	if !ok {
+		se = s.newSession()
 	}
-	return s.newSession()
+	s.useValues(se, compute)
+	return se
 }
 
 func (s *Simulator) release(se *session) {
@@ -115,11 +138,15 @@ func (s *Simulator) resetRun(se *session, x []float32, startCycle uint64) {
 	}
 }
 
-// reseedJitter restarts the jitter stream for a fresh observation window so
+// beginWindow opens a fresh observation window on the arena: it empties the
+// recorder and reserves the tiling-derived capacity, so even the first run
+// records without growth copies, and restarts the jitter stream so
 // equal-seed runs stay identical.
-func (se *session) reseedJitter(cfg *Config) {
+func (s *Simulator) beginWindow(se *session) {
+	se.rec.Reset()
+	se.rec.Reserve(s.estAccesses)
 	if se.rng != nil {
-		se.rng.Seed(cfg.NoiseSeed)
+		se.rng.Seed(s.cfg.NoiseSeed)
 	}
 }
 
@@ -127,15 +154,51 @@ func (se *session) reseedJitter(cfg *Config) {
 // observed trace. The returned Result owns its buffers; for allocation-free
 // repeated inference use NewSession.
 func (s *Simulator) Run(x []float32) (*Result, error) {
-	se := s.acquire()
+	se := s.acquire(true)
 	defer s.release(se)
-	se.rec.Reset()
-	se.reseedJitter(&s.cfg)
+	s.beginWindow(se)
 	if _, err := s.runOne(se, x, 0); err != nil {
 		return nil, err
 	}
 	res := s.snapshotResult(se)
 	res.Trace = s.snapshotTrace(se)
+	return res, nil
+}
+
+// Observe performs one inference as the §3 adversary sees it and returns
+// only the observables: the trace Run would record for x, byte for byte,
+// with its per-layer timing and record ranges. Without zero pruning no
+// record depends on a computed value — tiling, burst sizes, the cycle model
+// and jitter follow from the network geometry and the Config alone — so
+// Observe skips the layer arithmetic (convolutions, activations, pooling,
+// FC products, eltwise sums, concat copies and non-zero counting) and never
+// allocates activation buffers. With ZeroPrune the write counts depend on
+// the values, so it computes them exactly as Run does and also returns
+// NZCounts. Logits and Acts are always nil.
+func (s *Simulator) Observe(x []float32) (*Result, error) {
+	se := s.acquire(s.cfg.ZeroPrune)
+	defer s.release(se)
+	s.beginWindow(se)
+	if _, err := s.runOne(se, x, 0); err != nil {
+		return nil, err
+	}
+	res := s.snapshotTiming(se)
+	if se.compute {
+		res.NZCounts = s.snapshotNZCounts(se)
+	}
+	// Return the records the cheaper way. A copy allocates their bytes
+	// again; handing the recorder's buffer over allocates nothing but pins
+	// its spare capacity for as long as the caller keeps the trace. Hand it
+	// over when the spare capacity is no larger than the records, and give
+	// the arena a fresh recorder, which the next window reserves.
+	var view memtrace.Trace
+	se.rec.TraceInto(&view)
+	if spare := cap(view.Accesses) - len(view.Accesses); spare <= len(view.Accesses) {
+		res.Trace = &view
+		se.rec = memtrace.NewRecorder(s.cfg.BlockBytes)
+	} else {
+		res.Trace = s.snapshotTrace(se)
+	}
 	return res, nil
 }
 
@@ -145,10 +208,9 @@ func (s *Simulator) Run(x []float32) (*Result, error) {
 // share one arena; the per-run outputs are snapshotted so each Result stays
 // valid after the arena is reused.
 func (s *Simulator) RunMany(xs [][]float32) ([]*Result, *memtrace.Trace, error) {
-	se := s.acquire()
+	se := s.acquire(true)
 	defer s.release(se)
-	se.rec.Reset()
-	se.reseedJitter(&s.cfg)
+	s.beginWindow(se)
 	var results []*Result
 	cycle := uint64(0)
 	for _, x := range xs {
@@ -169,21 +231,33 @@ func (s *Simulator) RunMany(xs [][]float32) ([]*Result, *memtrace.Trace, error) 
 // snapshotResult deep-copies the arena's functional outputs into a fresh
 // Result (Trace unset).
 func (s *Simulator) snapshotResult(se *session) *Result {
-	n := s.net
-	last := len(n.Specs) - 1
-	res := &Result{
-		Logits:           append([]float32(nil), se.acts[last]...),
-		Acts:             make([][]float32, len(n.Specs)),
+	res := s.snapshotTiming(se)
+	res.Logits = append([]float32(nil), se.acts[len(se.acts)-1]...)
+	res.Acts = make([][]float32, len(se.acts))
+	for i := range se.acts {
+		res.Acts[i] = append([]float32(nil), se.acts[i]...)
+	}
+	res.NZCounts = s.snapshotNZCounts(se)
+	return res
+}
+
+// snapshotTiming copies the arena's per-layer cycles and record ranges into
+// a fresh Result (Trace and every value field unset).
+func (s *Simulator) snapshotTiming(se *session) *Result {
+	return &Result{
 		LayerCycles:      append([]uint64(nil), se.layerCyc...),
 		LayerStartCycle:  append([]uint64(nil), se.layerStart...),
-		NZCounts:         make([][]int, len(n.Specs)),
 		LayerAccessRange: append([][2]int(nil), se.accRange...),
 	}
-	for i := range n.Specs {
-		res.Acts[i] = append([]float32(nil), se.acts[i]...)
-		res.NZCounts[i] = append([]int(nil), se.nz[i]...)
+}
+
+// snapshotNZCounts copies the arena's per-channel non-zero counts.
+func (s *Simulator) snapshotNZCounts(se *session) [][]int {
+	nz := make([][]int, len(se.nz))
+	for i := range se.nz {
+		nz[i] = append([]int(nil), se.nz[i]...)
 	}
-	return res
+	return nz
 }
 
 // snapshotTrace copies the arena's recorded trace so it survives arena reuse.
@@ -210,7 +284,9 @@ type Session struct {
 
 // NewSession allocates an independent run context sized for the network.
 func (s *Simulator) NewSession() *Session {
-	return &Session{sim: s, se: s.newSession()}
+	se := s.newSession()
+	s.useValues(se, true)
+	return &Session{sim: s, se: se}
 }
 
 // Run performs one inference reusing the session's arena. The returned
@@ -233,8 +309,7 @@ func (ss *Session) Run(x []float32) (*Result, error) {
 // are empty).
 func (ss *Session) RunPrefix(x []float32, lastLayer int) (*Result, error) {
 	s, se := ss.sim, ss.se
-	se.rec.Reset()
-	se.reseedJitter(&s.cfg)
+	s.beginWindow(se)
 	if _, err := s.runLayers(se, x, 0, lastLayer); err != nil {
 		return nil, err
 	}
@@ -418,7 +493,8 @@ func countNZRows(buf []float32, h, w, c, r0, r1 int) int {
 	return nz
 }
 
-// simConv computes a conv layer functionally and emits its tiled trace.
+// simConv computes a conv layer functionally (when the run computes) and
+// emits its tiled trace.
 func (s *Simulator) simConv(li int, se *session) {
 	n := s.net
 	spec := &n.Specs[li]
@@ -427,28 +503,33 @@ func (s *Simulator) simConv(li int, se *session) {
 	convShape := spec.ConvOut(in)
 	outShape := n.Shapes[li]
 
-	out := se.acts[li]
-	convOut := out // unpooled: conv and layer output share the buffer
-	if spec.Pool != nn.PoolNone {
-		convOut = se.convScratch[:convShape.Len()]
+	if se.compute {
+		out := se.acts[li]
+		convOut := out // unpooled: conv and layer output share the buffer
+		if spec.Pool != nn.PoolNone {
+			convOut = se.convScratch[:convShape.Len()]
+		}
+		conv.Forward(se.inputAct(n, li, 0), in.H, in.W, n.Params[li].W.Data, n.Params[li].B.Data, convOut, se.cols)
+		s.applyActPool(spec, convOut, convShape, out)
 	}
-	conv.Forward(se.inputAct(n, li, 0), in.H, in.W, n.Params[li].W.Data, n.Params[li].B.Data, convOut, se.cols)
-	s.applyActPool(spec, convOut, convShape, out)
 
 	s.emitConvTrace(li, se, in, convShape, outShape, conv.InC*spec.F*spec.F)
 	s.finishFmap(li, se, outShape, s.cfg.ZeroPrune)
 }
 
-// finishFmap records per-channel non-zero statistics and, for layers whose
-// output was written compressed, the stored channel sizes. With
-// PadPrunedWrites, compressed streams are padded with dummy transactions up
-// to the dense-equivalent worst case, hiding the §4 count leak (at a cost
-// exceeding unpruned traffic).
+// finishFmap records per-channel non-zero statistics (when the run
+// computes) and, for layers whose output was written compressed, the stored
+// channel sizes. With PadPrunedWrites, compressed streams are padded with
+// dummy transactions up to the dense-equivalent worst case, hiding the §4
+// count leak (at a cost exceeding unpruned traffic). Only pruning runs write
+// compressed, and those always compute.
 func (s *Simulator) finishFmap(li int, se *session, outShape nn.Shape, pruned bool) {
-	out := se.acts[li]
 	nz := se.nz[li]
-	for c := 0; c < outShape.C; c++ {
-		nz[c] = countNZRows(out, outShape.H, outShape.W, c, 0, outShape.H)
+	if se.compute {
+		out := se.acts[li]
+		for c := 0; c < outShape.C; c++ {
+			nz[c] = countNZRows(out, outShape.H, outShape.W, c, 0, outShape.H)
+		}
 	}
 	if !pruned {
 		return
@@ -746,9 +827,9 @@ func minInt(a, b int) int {
 	return b
 }
 
-// simFC computes a fully-connected layer and emits its trace: the IFM is
-// read once (it fits on chip), weight rows stream in output tiles, and the
-// output vector is written once.
+// simFC computes a fully-connected layer (when the run computes) and emits
+// its trace: the IFM is read once (it fits on chip), weight rows stream in
+// output tiles, and the output vector is written once.
 func (s *Simulator) simFC(li int, se *session) {
 	n := s.net
 	spec := &n.Specs[li]
@@ -756,11 +837,14 @@ func (s *Simulator) simFC(li int, se *session) {
 	cfg := &s.cfg
 	elem := cfg.ElemBytes
 
-	l := tensor.Linear{In: in.Len(), Out: spec.OutC}
-	out := se.acts[li]
-	l.Forward(se.inputAct(n, li, 0), n.Params[li].W.Data, n.Params[li].B.Data, out)
-	if spec.ReLU {
-		s.activate(out)
+	var out []float32 // read only by pruned writes, and pruning runs compute
+	if se.compute {
+		l := tensor.Linear{In: in.Len(), Out: spec.OutC}
+		out = se.acts[li]
+		l.Forward(se.inputAct(n, li, 0), n.Params[li].W.Data, n.Params[li].B.Data, out)
+		if spec.ReLU {
+			s.activate(out)
+		}
 	}
 
 	inReg, inShape := s.inputRegion(li, 0)
@@ -835,20 +919,22 @@ func (s *Simulator) simFC(li int, se *session) {
 	s.finishFmap(li, se, outShape, s.cfg.ZeroPrune)
 }
 
-// simEltwise adds its inputs channel-plane by channel-plane, reading the
-// most recently produced input first (its data is the fresh RAW dependency
-// that marks the layer boundary).
+// simEltwise adds its inputs (when the run computes) channel-plane by
+// channel-plane, reading the most recently produced input first (its data is
+// the fresh RAW dependency that marks the layer boundary).
 func (s *Simulator) simEltwise(li int, se *session) {
 	n := s.net
 	spec := &n.Specs[li]
 	outShape := n.Shapes[li]
 	elem := s.cfg.ElemBytes
 
-	out := se.acts[li]
-	copy(out, se.inputAct(n, li, 0))
-	for j := 1; j < len(spec.Inputs); j++ {
-		for k, v := range se.inputAct(n, li, j) {
-			out[k] += v
+	if se.compute {
+		out := se.acts[li]
+		copy(out, se.inputAct(n, li, 0))
+		for j := 1; j < len(spec.Inputs); j++ {
+			for k, v := range se.inputAct(n, li, j) {
+				out[k] += v
+			}
 		}
 	}
 
@@ -887,21 +973,28 @@ func (s *Simulator) simEltwise(li int, se *session) {
 	s.finishFmap(li, se, outShape, false)
 }
 
-// simConcat assembles its output. Producers whose sole consumer is this
-// concat already wrote into the shared region (zero-copy) and contribute no
-// traffic; others are copied through the accelerator.
+// simConcat assembles its output and, when the run computes, its non-zero
+// statistics. Producers whose sole consumer is this concat already wrote
+// into the shared region (zero-copy) and contribute no traffic; others are
+// copied through the accelerator.
 func (s *Simulator) simConcat(li int, se *session) {
 	n := s.net
 	spec := &n.Specs[li]
 	outShape := n.Shapes[li]
 	elem := s.cfg.ElemBytes
 
-	out := se.acts[li]
-	off := 0
-	for j := range spec.Inputs {
-		src := se.inputAct(n, li, j)
-		copy(out[off:off+len(src)], src)
-		off += len(src)
+	if se.compute {
+		out := se.acts[li]
+		off := 0
+		for j := range spec.Inputs {
+			src := se.inputAct(n, li, j)
+			copy(out[off:off+len(src)], src)
+			off += len(src)
+		}
+		nzs := se.nz[li]
+		for c := 0; c < outShape.C; c++ {
+			nzs[c] = countNZRows(out, outShape.H, outShape.W, c, 0, outShape.H)
+		}
 	}
 
 	// Per-channel stored sizes: concatenation of producer channel sizes
@@ -934,11 +1027,5 @@ func (s *Simulator) simConcat(li int, se *session) {
 		se.rec.RecordBytes(se.cycle, s.lay.Fmaps[li].Base+byteOff, size, memtrace.Write)
 		se.cycle += s.jitter(se, s.memCycles(2*size)+s.cfg.TileOverhead)
 		byteOff += slot
-	}
-
-	// Non-zero statistics for the assembled map.
-	nzs := se.nz[li]
-	for c := 0; c < outShape.C; c++ {
-		nzs[c] = countNZRows(out, outShape.H, outShape.W, c, 0, outShape.H)
 	}
 }

@@ -22,15 +22,20 @@ import (
 	"cnnrev/internal/weightrev"
 )
 
-// CaptureResult bundles a victim run and its observable trace.
+// CaptureResult bundles a victim run and its observable trace. Result is
+// what accel.Simulator.Observe returns: the trace with its per-layer timing
+// and record ranges, and NZCounts only when cfg zero-prunes; Logits and Acts
+// are nil.
 type CaptureResult struct {
 	Net    *nn.Network
 	Sim    *accel.Simulator
 	Result *accel.Result
 }
 
-// Capture runs one inference of net on the simulated accelerator with a
-// deterministic random input and returns the observables.
+// Capture observes one inference of net on the simulated accelerator with a
+// deterministic random input and returns the observables. Unless cfg
+// zero-prunes, no layer is computed: the trace does not depend on the
+// values.
 func Capture(net *nn.Network, cfg accel.Config, seed int64) (*CaptureResult, error) {
 	sim, err := accel.New(net, cfg)
 	if err != nil {
@@ -41,7 +46,7 @@ func Capture(net *nn.Network, cfg accel.Config, seed int64) (*CaptureResult, err
 	for i := range x {
 		x[i] = float32(rng.NormFloat64())
 	}
-	res, err := sim.Run(x)
+	res, err := sim.Observe(x)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cnnrev/internal/accel"
@@ -196,5 +197,28 @@ func TestGroundTruthConfigsShapes(t *testing.T) {
 	}
 	if truth[0].F != 11 || !truth[0].HasPool {
 		t.Fatalf("conv1 config: %+v", truth[0])
+	}
+}
+
+// TestCaptureAllocatesTraceOnly pins the trace-only capture: observing
+// full-size SqueezeNet allocates the trace and the simulator's tables but no
+// activations, im2col or pooling scratch — under 8 MiB in every dataflow,
+// where computing every layer allocated 55–60 MiB.
+func TestCaptureAllocatesTraceOnly(t *testing.T) {
+	const limit = 8 << 20
+	net := nn.SqueezeNet(1000, 1)
+	net.InitWeights(1)
+	for _, df := range []accel.Dataflow{accel.OutputStationary, accel.WeightStationary, accel.RowStationary} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cap, err := Capture(net, accel.Config{Dataflow: df}, 2)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%v: Capture allocated %.1f MiB for %d records, want < %d MiB",
+				df, float64(got)/(1<<20), len(cap.Result.Trace.Accesses), limit>>20)
+		}
 	}
 }

@@ -179,11 +179,13 @@ func AblationZeroPruneTraffic(thresholds []float32) ([]PruneTrafficRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Only the pruned capture computes activations; the dense one's
+		// are identical (same input, threshold and weights).
 		total, zero := 0, 0
 		for li := range base.Specs {
 			shape := base.Shapes[li]
 			total += shape.Len()
-			for _, nz := range dense.Result.NZCounts[li] {
+			for _, nz := range pruned.Result.NZCounts[li] {
 				zero += shape.H*shape.W - nz
 			}
 		}

@@ -282,14 +282,18 @@ func (r *Recorder) Record(cycle uint64, addr uint64, count uint32, kind Kind) {
 	r.accesses = append(r.accesses, Access{Cycle: cycle, Addr: addr, Count: count, Kind: kind})
 }
 
-// RecordBytes records a burst covering byteLen bytes from addr, rounding up
-// to whole blocks.
+// RecordBytes records the burst of aligned blocks covering the byteLen bytes
+// [addr, addr+byteLen), the way a bus moves whole blocks: an unaligned start
+// rounds down to its block and the end rounds up. A block-aligned addr
+// records ceil(byteLen/BlockBytes) blocks from addr.
 func (r *Recorder) RecordBytes(cycle uint64, addr uint64, byteLen int, kind Kind) {
 	if byteLen <= 0 {
 		return
 	}
-	blocks := (byteLen + r.BlockBytes - 1) / r.BlockBytes
-	r.Record(cycle, addr, uint32(blocks), kind)
+	b := uint64(r.BlockBytes)
+	lo := addr - addr%b
+	blocks := (addr + uint64(byteLen) - lo + b - 1) / b
+	r.Record(cycle, lo, uint32(blocks), kind)
 }
 
 // Trace returns the recorded trace. The recorder must not be used afterward.

@@ -47,6 +47,19 @@ func TestRecordBytesRoundsUp(t *testing.T) {
 	if len(r2.Trace().Accesses) != 0 {
 		t.Fatal("zero-byte record must be dropped")
 	}
+	// An unaligned burst records the aligned blocks covering it: bytes
+	// [12, 21) touch blocks [8, 16) and [16, 24).
+	r3 := NewRecorder(8)
+	r3.RecordBytes(0, 12, 9, Read)
+	if a := r3.Trace().Accesses; len(a) != 1 || a[0].Addr != 8 || a[0].Count != 2 {
+		t.Fatalf("9 bytes at 12, block 8 = %+v, want one 2-block burst at 8", a)
+	}
+	// Bursts sharing a partial block do not merge: the bus moves that block
+	// twice.
+	r3.RecordBytes(0, 21, 3, Read)
+	if a := r3.Trace().Accesses; len(a) != 2 || a[1].Addr != 16 || a[1].Count != 1 {
+		t.Fatalf("3 bytes at 21 after [12, 21) = %+v, want a second 1-block burst at 16", a)
+	}
 }
 
 func TestTraceSerializationRoundTrip(t *testing.T) {

@@ -11,10 +11,11 @@
 //	go generate ./...
 //
 // The traces are value-independent — without zero pruning the accelerator's
-// transaction schedule depends only on layer shapes and tiling — so
-// regeneration is byte-identical across machines as long as the capture
-// parameters below (weight seed 1, input seed 2, default accel.Config plus
-// the dataflow) stay fixed.
+// transaction schedule depends only on layer shapes and tiling — so they are
+// captured with the simulator's trace-only Observe, which skips the layer
+// arithmetic, and regeneration is byte-identical across machines (and to a
+// full Run) as long as the capture parameters below (weight seed 1, input
+// seed 2, default accel.Config plus the dataflow) stay fixed.
 package main
 
 import (
@@ -70,7 +71,7 @@ func main() {
 			for i := range x {
 				x[i] = float32(rng.NormFloat64())
 			}
-			res, err := sim.Run(x)
+			res, err := sim.Observe(x)
 			if err != nil {
 				log.Fatal(err)
 			}
