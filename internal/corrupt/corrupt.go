@@ -21,9 +21,10 @@
 package corrupt
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cnnrev/internal/memtrace"
 )
@@ -119,11 +120,9 @@ const maxRegranRecords = 8 << 20
 // record can be split and then one half dropped, mirroring a probe that
 // first sees the merged bus and then undersamples it.
 func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
-	out := &memtrace.Trace{
-		BlockBytes: tr.BlockBytes,
-		Accesses:   append([]memtrace.Access(nil), tr.Accesses...),
-	}
-	if !cfg.Enabled() || len(out.Accesses) == 0 {
+	out := &memtrace.Trace{BlockBytes: tr.BlockBytes}
+	if !cfg.Enabled() || len(tr.Accesses) == 0 {
+		out.Accesses = append([]memtrace.Access(nil), tr.Accesses...)
 		return out
 	}
 	gran := uint64(16)
@@ -131,7 +130,7 @@ func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
 		gran = uint64(cfg.ProbeGranularityBlocks)
 	}
 	var totalBlocks uint64
-	for _, a := range out.Accesses {
+	for _, a := range tr.Accesses {
 		totalBlocks += uint64(a.Count)
 	}
 	if totalBlocks/gran > maxRegranRecords {
@@ -140,13 +139,14 @@ func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
 	if gran > math.MaxUint32 {
 		gran = math.MaxUint32
 	}
-	out.Accesses = regranulate(out.Accesses, uint32(gran), uint64(out.BlockBytes))
+	// regranulate writes a fresh slice, so no model below touches tr.
+	out.Accesses = regranulate(tr.Accesses, uint32(gran), uint64(out.BlockBytes))
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.InterferenceRate > 0 {
 		out.Accesses = injectInterference(out, cfg, rng)
 	}
 	if cfg.ReorderWindow > 0 {
-		reorderBounded(out.Accesses, cfg.ReorderWindow, rng)
+		out.Accesses = reorderBounded(out.Accesses, cfg.ReorderWindow, rng)
 	}
 	if cfg.SplitRate > 0 {
 		out.Accesses = splitBursts(out.Accesses, uint64(out.BlockBytes), cfg.SplitRate, rng)
@@ -164,7 +164,12 @@ func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
 // granularity: consecutive chunks of at most maxBlocks blocks, all carrying
 // the source record's cycle stamp.
 func regranulate(accs []memtrace.Access, maxBlocks uint32, block uint64) []memtrace.Access {
-	out := make([]memtrace.Access, 0, len(accs))
+	// Each record becomes ceil(Count/maxBlocks) chunks, and at least one.
+	n := 0
+	for _, a := range accs {
+		n += 1 + int((max(a.Count, 1)-1)/maxBlocks)
+	}
+	out := make([]memtrace.Access, 0, n)
 	for _, a := range accs {
 		for a.Count > maxBlocks {
 			head := a
@@ -251,7 +256,7 @@ func injectInterference(tr *memtrace.Trace, cfg Config, rng *rand.Rand) []memtra
 	// be stable so equal-cycle injections keep generation order (a high
 	// interference rate on a multi-million-record trace injects ~rate·n
 	// accesses, so this must also be O(n log n)).
-	sort.SliceStable(injected, func(x, y int) bool { return injected[x].Cycle < injected[y].Cycle })
+	slices.SortStableFunc(injected, func(x, y memtrace.Access) int { return cmp.Compare(x.Cycle, y.Cycle) })
 	for i < len(accs) && j < len(injected) {
 		if accs[i].Cycle <= injected[j].Cycle {
 			merged = append(merged, accs[i])
@@ -270,24 +275,31 @@ func injectInterference(tr *memtrace.Trace, cfg Config, rng *rand.Rand) []memtra
 // original cycle sequence in order, so timestamps stay monotonic while the
 // address stream is locally permuted. It stable-sorts by the perturbed key
 // i + U[0,window]: with every key within `window` of its index, no element
-// can travel more than `window` positions in either direction.
-func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) {
-	n := len(accs)
-	cycles := make([]uint64, n)
-	keys := make([]int, n)
-	order := make([]int, n)
-	for i, a := range accs {
-		cycles[i] = a.Cycle
+// can travel more than `window` positions in either direction. The keys lie
+// in [0, n+window), so a counting sort yields that stable order in
+// O(n + window).
+func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) []memtrace.Access {
+	keys := make([]int, len(accs))
+	// next counts the records per key, then holds each key's next slot.
+	next := make([]int, len(accs)+window)
+	for i := range keys {
 		keys[i] = i + rng.Intn(window+1)
-		order[i] = i
+		next[keys[i]]++
 	}
-	sort.SliceStable(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
-	shuffled := make([]memtrace.Access, n)
-	for i, o := range order {
-		shuffled[i] = accs[o]
-		shuffled[i].Cycle = cycles[i]
+	slot := 0
+	for k, c := range next {
+		next[k] = slot
+		slot += c
 	}
-	copy(accs, shuffled)
+	shuffled := make([]memtrace.Access, len(accs))
+	for i, k := range keys {
+		shuffled[next[k]] = accs[i]
+		next[k]++
+	}
+	for d := range shuffled {
+		shuffled[d].Cycle = accs[d].Cycle
+	}
+	return shuffled
 }
 
 // splitBursts cuts multi-block bursts in two at a random block boundary.

@@ -2,6 +2,8 @@ package corrupt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"cnnrev/internal/memtrace"
@@ -270,5 +272,59 @@ func TestRegranulationBoundedOnHostileExtents(t *testing.T) {
 	}
 	if got, want := out.Blocks(), tr.Blocks(); got != want {
 		t.Fatalf("reorder-only corruption changed block total: %d != %d", got, want)
+	}
+}
+
+// TestApplyDigests pins Apply's output bytes across code changes: each
+// case's corrupted trace must hash to the digest recorded when the table
+// was written. TestEqualSeedsCorruptIdentically only compares two runs of
+// one build.
+func TestApplyDigests(t *testing.T) {
+	one := &memtrace.Trace{BlockBytes: 64, Accesses: []memtrace.Access{
+		{Cycle: 9, Addr: 1 << 20, Count: 40, Kind: memtrace.Read},
+	}}
+	all := Config{Seed: 7, DropRate: 0.05, SplitRate: 0.2, CoalesceRate: 0.2,
+		ReorderWindow: 8, InterferenceRate: 0.1}
+	for _, tc := range []struct {
+		name string
+		tr   *memtrace.Trace
+		cfg  Config
+		want string
+	}{
+		{"drop", testTrace(), Config{Seed: 1, DropRate: 0.1},
+			"97a99b212ad0e535de94e0fe5daa467e27328edee347c863aec6d842dd14e695"},
+		{"split", testTrace(), Config{Seed: 2, SplitRate: 0.5},
+			"6cd8ded2f22e4d7d83276e03bc3b196569ece0ba96e728ee440f7ea94806d45c"},
+		{"coalesce", testTrace(), Config{Seed: 3, CoalesceRate: 0.5},
+			"fb7c6b2265a99ca1dc880039e9da378b71d56054b651aef39dc21b57d90ed14e"},
+		{"reorder-1", testTrace(), Config{Seed: 4, ReorderWindow: 1},
+			"aeb54146455ee5f55e64e54a62d66b292b1fec64e5a8a39b78965727d157cc76"},
+		{"reorder-16", testTrace(), Config{Seed: 4, ReorderWindow: 16},
+			"b2576d027d5402c5bdb0fefa751dabc7eefbb1f93d0fbbc6c3d7253669f310c4"},
+		{"reorder-past-end", testTrace(), Config{Seed: 4, ReorderWindow: 1000},
+			"1f784b48383e92fb2ffb8d9e15b25c41417e8ea71a6cc45dd03d4ee1adff094d"},
+		{"interference", testTrace(), Config{Seed: 5, InterferenceRate: 0.3},
+			"8077e057ac90ab7f34b6bed33f10d19dabed5b3a9478a2d9db9b7fcbdb9050bb"},
+		{"interference-5-regions", testTrace(), Config{Seed: 6, InterferenceRate: 0.3, InterferenceRegions: 5},
+			"8808d4eebbe727de285d31dc1043e684d79783c82dcbd576aed19eaa3956bf4f"},
+		{"all", testTrace(), all,
+			"e8886de7a3083a6043ace89985cbf0d0b34c87f3099b72b32d1a03c4b8c55d67"},
+		{"interference-reorder-16", testTrace(), Config{Seed: 1, InterferenceRate: 0.05, ReorderWindow: 16},
+			"6c324f37982aac3af19f0b3a1ee07d3b7688833546c60f5a34c39ee044dc300c"},
+		{"drop-reorder-16", testTrace(), Config{Seed: 1, DropRate: 0.01, ReorderWindow: 16},
+			"4c2670e89103f3f7121bea01d8e50e2b1c3499542e2888ea1e39bd55c16a98d8"},
+		{"gran-1", testTrace(), Config{Seed: 8, DropRate: 0.1, ReorderWindow: 16, ProbeGranularityBlocks: 1},
+			"8029d1c86a83e4a2e5b75035a5b6352c01ff12a4af3e17deb8b4c8d948c1e619"},
+		{"gran-4", testTrace(), Config{Seed: 9, InterferenceRate: 0.3, InterferenceRegions: 5, ReorderWindow: 1, ProbeGranularityBlocks: 4},
+			"25a8ea39ae7614715742f4707138e4a159dcbdfc8a552f4055d6c1290e1f0c55"},
+		{"one-record-reorder", one, Config{Seed: 10, ReorderWindow: 16},
+			"6619209517bd46a9d8a15e6dc169e0143381a5171796953286635683547613c9"},
+		{"one-record-all", one, all,
+			"1e34c1e711c9aade0f6d5b572144b4dc6fe9c5b2367b8c35ea92deb696abf5bd"},
+	} {
+		sum := sha256.Sum256(traceBytes(t, Apply(tc.tr, tc.cfg)))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

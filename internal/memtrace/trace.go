@@ -8,7 +8,6 @@ package memtrace
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -356,12 +355,6 @@ func CoalesceIntervals(ivs []Interval, gap uint64) []Interval {
 	return CoalesceSorted(sorted, gap)
 }
 
-// SortIntervals sorts ivs in place by Lo. Callers that coalesce one set at
-// several gaps sort it once and call CoalesceSorted per gap.
-func SortIntervals(ivs []Interval) {
-	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
-}
-
 // CoalesceSorted is CoalesceIntervals over intervals already sorted by Lo
 // (see SortIntervals); it leaves sorted unchanged.
 func CoalesceSorted(sorted []Interval, gap uint64) []Interval {
@@ -371,7 +364,9 @@ func CoalesceSorted(sorted []Interval, gap uint64) []Interval {
 	out := []Interval{sorted[0]}
 	for _, iv := range sorted[1:] {
 		last := &out[len(out)-1]
-		if iv.Lo <= last.Hi+gap {
+		// iv.Lo <= last.Hi+gap without the sum wrapping past 2^64: a
+		// hostile trace may place extents at the top of the address space.
+		if iv.Lo <= last.Hi || iv.Lo-last.Hi <= gap {
 			if iv.Hi > last.Hi {
 				last.Hi = iv.Hi
 			}

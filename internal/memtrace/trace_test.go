@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -289,30 +290,38 @@ func TestCoalesceIntervals(t *testing.T) {
 }
 
 // Property: coalescing preserves coverage — every input point remains
-// covered, and the output is sorted and non-overlapping.
+// covered, and the output is sorted and separated by more than the gap,
+// also when the intervals end at the top of the address space, where
+// last.Hi+gap would wrap.
 func TestQuickCoalesceInvariants(t *testing.T) {
-	f := func(raw []uint16) bool {
+	f := func(raw []uint16, gap16 uint16, nearTop bool) bool {
+		var base uint64
+		if nearTop {
+			base = ^uint64(0) - math.MaxUint16 - 64
+		}
 		var ivs []Interval
 		for i := 0; i+1 < len(raw); i += 2 {
-			lo, hi := uint64(raw[i]), uint64(raw[i])+uint64(raw[i+1]%64)+1
-			ivs = append(ivs, Interval{lo, hi})
+			lo := base + uint64(raw[i])
+			ivs = append(ivs, Interval{lo, lo + uint64(raw[i+1]%64) + 1})
 		}
-		out := CoalesceIntervals(ivs, 0)
-		for i := 1; i < len(out); i++ {
-			if out[i].Lo <= out[i-1].Hi {
-				return false // must be strictly separated and sorted
-			}
-		}
-		for _, iv := range ivs {
-			covered := false
-			for _, o := range out {
-				if iv.Lo >= o.Lo && iv.Hi <= o.Hi {
-					covered = true
-					break
+		for _, gap := range []uint64{0, uint64(gap16)} {
+			out := CoalesceIntervals(ivs, gap)
+			for i := 1; i < len(out); i++ {
+				if out[i].Lo <= out[i-1].Hi || out[i].Lo-out[i-1].Hi <= gap {
+					return false // must be sorted and separated by more than gap
 				}
 			}
-			if !covered {
-				return false
+			for _, iv := range ivs {
+				covered := false
+				for _, o := range out {
+					if iv.Lo >= o.Lo && iv.Hi <= o.Hi {
+						covered = true
+						break
+					}
+				}
+				if !covered {
+					return false
+				}
 			}
 		}
 		return true

@@ -262,12 +262,16 @@ func Obfuscate(tr *memtrace.Trace, cfg Config) (*memtrace.Trace, Stats, error) {
 	for _, b := range logical {
 		c.pos[b] = rng.Intn(c.leaves)
 	}
-	if physical := totalLogical * 2 * uint64(cfg.Z) * uint64(c.levels); physical > maxPhysicalTransfers {
+	physical := totalLogical * 2 * uint64(cfg.Z) * uint64(c.levels)
+	if physical > maxPhysicalTransfers {
 		return nil, Stats{}, fmt.Errorf("oram: obfuscation would emit %d physical transfers (cap %d); use a larger ORAM block size", physical, maxPhysicalTransfers)
 	}
 
 	st := Stats{Levels: c.levels, DistinctBlocks: len(logical)}
 	rec := memtrace.NewRecorder(cfg.BlockBytes)
+	// Every transfer gets its own tick, so none coalesce: the trace holds
+	// exactly one record per physical transfer.
+	rec.Reserve(int(physical))
 	var tick uint64
 	emit := func(bucket, slot int, kind memtrace.Kind) {
 		addr := uint64(bucket*cfg.Z+slot) * obb

@@ -45,6 +45,10 @@ func TestObfuscateOverheadMatchesTheory(t *testing.T) {
 	if obf.Blocks() != st.PhysicalBlocks {
 		t.Fatalf("trace blocks %d != stats %d", obf.Blocks(), st.PhysicalBlocks)
 	}
+	// One record per transfer, in a buffer reserved to exactly that size.
+	if n := len(obf.Accesses); uint64(n) != st.PhysicalBlocks || cap(obf.Accesses) != n {
+		t.Fatalf("%d records in a buffer of %d, want both %d", n, cap(obf.Accesses), st.PhysicalBlocks)
+	}
 	if st.Overhead() < 50 {
 		t.Fatalf("ORAM should cost dearly; overhead only %.0fx", st.Overhead())
 	}

@@ -113,20 +113,21 @@ const (
 // O(log M) per run of one label it covers, whatever order the writes come
 // in; memory is O(writes).
 type lastWriter struct {
-	xs  []uint64 // leaf i is the byte range [xs[i], xs[i+1])
-	lab []int32
+	xs   []uint64 // leaf i is the byte range [xs[i], xs[i+1])
+	lab  []int32
+	last int // index in xs of the previous write's Hi
 }
 
-func newLastWriter(writes []writeRec) *lastWriter {
+func newLastWriter(writes []writeRec) lastWriter {
 	xs := make([]uint64, 0, 2*len(writes))
 	for _, w := range writes {
 		if w.iv.Lo < w.iv.Hi {
 			xs = append(xs, w.iv.Lo, w.iv.Hi)
 		}
 	}
-	slices.Sort(xs)
+	memtrace.SortAddrs(xs)
 	xs = slices.Compact(xs)
-	lw := &lastWriter{xs: xs}
+	lw := lastWriter{xs: xs}
 	if leaves := len(xs) - 1; leaves > 0 {
 		// A tree split at midpoints over n leaves uses node indices below
 		// twice the next power of two.
@@ -151,9 +152,34 @@ func (lw *lastWriter) paint(iv memtrace.Interval, seg int) {
 		return
 	}
 	// Both endpoints are in xs, so they name leaf boundaries exactly.
-	l, _ := slices.BinarySearch(lw.xs, iv.Lo)
-	r, _ := slices.BinarySearch(lw.xs, iv.Hi)
-	lw.assign(1, 0, lw.leaves(), l, r, int32(seg))
+	// Writes mostly stream upward, so each search starts where the previous
+	// write ended.
+	l := lw.find(iv.Lo, lw.last)
+	lw.last = lw.find(iv.Hi, l)
+	lw.assign(1, 0, lw.leaves(), l, lw.last, int32(seg))
+}
+
+// find returns the index of x in xs, which must hold it, galloping from
+// index from: steps of doubling length toward x bracket it, then a binary
+// search inside the last step finds it. It costs O(log d) for a distance d
+// from from, so O(log M) at worst.
+func (lw *lastWriter) find(x uint64, from int) int {
+	xs := lw.xs
+	// Bracket the answer in (lo, hi]: xs[lo] < x <= xs[hi], with lo = -1
+	// standing for the start of xs.
+	lo, hi := from, from
+	if xs[from] < x {
+		// xs ends with the largest endpoint, which is at least x.
+		for step := 1; xs[hi] < x; step *= 2 {
+			lo, hi = hi, min(hi+step, len(xs)-1)
+		}
+	} else {
+		for step := 1; lo >= 0 && xs[lo] >= x; step *= 2 {
+			hi, lo = lo, max(lo-step, -1)
+		}
+	}
+	i, _ := slices.BinarySearch(xs[lo+1:hi+1], x)
+	return lo + 1 + i
 }
 
 // assign labels leaves [l, r) with seg within node, which spans leaves
