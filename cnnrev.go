@@ -296,12 +296,13 @@ func RunStructureAttackSpec(ctx context.Context, net *Network, cfg AccelConfig, 
 // WriteTrace serializes a trace; ReadTrace deserializes one.
 func WriteTrace(tr *Trace, w io.Writer) error { return tr.Write(w) }
 
-// ReadTrace deserializes a trace written by WriteTrace.
+// ReadTrace deserializes a trace written by WriteTrace from a stream. It
+// accepts exactly what DecodeTrace accepts: data past the declared records
+// is an error.
 func ReadTrace(r io.Reader) (*Trace, error) { return memtrace.ReadTrace(r) }
 
-// DecodeTrace strictly decodes an in-memory trace buffer. Unlike ReadTrace
-// it validates the header against the input length before allocating, and
-// only accepts canonical encodings — use it for untrusted uploads.
+// DecodeTrace strictly decodes an in-memory trace buffer, validating the
+// header against the input length before allocating.
 func DecodeTrace(data []byte) (*Trace, error) { return memtrace.DecodeTrace(data) }
 
 // PrunedConv1 builds the Figure-7 victim layer (pruned AlexNet CONV1).

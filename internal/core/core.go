@@ -17,6 +17,7 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/corrupt"
 	"cnnrev/internal/defense"
+	"cnnrev/internal/memtrace"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/structrev"
 	"cnnrev/internal/weightrev"
@@ -116,6 +117,13 @@ type StructureAttackSpec struct {
 // service layer uses it to feed per-stage latency histograms.
 type StageFunc func(stage string, elapsed time.Duration)
 
+// done reports a stage that started at t0; a nil StageFunc observes nothing.
+func (f StageFunc) done(stage string, t0 time.Time) {
+	if f != nil {
+		f(stage, time.Since(t0))
+	}
+}
+
 // isCtxErr reports whether err is the context's own cancellation error.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -136,15 +144,9 @@ func RunStructureAttackCtx(ctx context.Context, net *nn.Network, cfg accel.Confi
 }
 
 // RunStructureAttackSpec is RunStructureAttackCtx with the hostile-probe
-// spec: the captured trace is degraded by spec.Corrupt (its own "corrupt"
-// stage) and analyzed tolerantly when corruption is enabled or spec.Tolerant
-// is set.
+// spec: it captures net's trace (the "capture" stage), attacks it with
+// AttackTrace, and scores the candidates against net's true structure.
 func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
-	stage := func(name string, t0 time.Time) {
-		if onStage != nil {
-			onStage(name, time.Since(t0))
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -153,72 +155,86 @@ func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Conf
 	if err != nil {
 		return nil, err
 	}
-	stage("capture", t0)
+	onStage.done("capture", t0)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	trace := cap.Result.Trace
-	var defStats defense.Stats
-	defended := spec.Defense.Enabled()
-	if defended {
-		t0 = time.Now()
-		var derr error
-		trace, defStats, derr = defense.Apply(trace, spec.Defense)
-		if derr != nil {
-			return nil, derr
+	in := TraceInput{Input: net.Input, ElemBytes: cap.Sim.Config().ElemBytes, Classes: net.NumClasses(), Dataflow: cfg.Dataflow}
+	rep, err := AttackTrace(ctx, cap.Result.Trace, in, opt, spec, onStage)
+	if rep != nil {
+		rep.TruthIndex = FindTruth(rep.Structures, GroundTruthConfigs(net))
+	}
+	return rep, err
+}
+
+// TraceInput is what the §3 adversary knows besides the trace: the input
+// geometry, the element size and the class count. Dataflow is the
+// scheduling the report names: the capture backend, or the adversary's
+// declared prior for a trace captured elsewhere.
+type TraceInput struct {
+	Input     nn.Shape
+	ElemBytes int
+	Classes   int
+	Dataflow  accel.Dataflow
+}
+
+// AttackTrace runs the adversary's side of the §3 pipeline on a trace, one
+// observed stage each: the spec's defense, then its corruption, then the
+// analysis (tolerant when corruption is enabled or spec.Tolerant is set),
+// dataflow detection and the solve. tr is never modified. The context is
+// checked after the defense and throughout the solve; if it expires during
+// the solve, the report carries the structures found so far with Partial
+// set, alongside ctx's error. The victim is unknown here, so TruthIndex is
+// -1.
+func AttackTrace(ctx context.Context, tr *memtrace.Trace, in TraceInput, opt structrev.Options, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
+	rep := &StructureReport{TruthIndex: -1, Dataflow: in.Dataflow.String()}
+	if spec.Defense.Enabled() {
+		t0 := time.Now()
+		var err error
+		if tr, rep.DefenseStats, err = defense.Apply(tr, spec.Defense); err != nil {
+			return nil, err
 		}
-		stage("defense", t0)
+		rep.Defense = spec.Defense.Kind
+		onStage.done("defense", t0)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	corrupted := spec.Corrupt.Enabled()
-	if corrupted {
-		t0 = time.Now()
-		trace = corrupt.Apply(trace, spec.Corrupt)
-		stage("corrupt", t0)
+	rep.Corrupted = spec.Corrupt.Enabled()
+	if rep.Corrupted {
+		t0 := time.Now()
+		tr = corrupt.Apply(tr, spec.Corrupt)
+		onStage.done("corrupt", t0)
 	}
-	tolerant := spec.Tolerant || corrupted
-	elem := cap.Sim.Config().ElemBytes
-	t0 = time.Now()
+	rep.Tolerant = spec.Tolerant || rep.Corrupted
+	elem := in.ElemBytes
+	t0 := time.Now()
 	var a *structrev.Analysis
-	if tolerant {
-		a, err = structrev.AnalyzeTolerant(trace, net.Input.Len()*elem, elem, spec.TolerantOpt)
+	var err error
+	if rep.Tolerant {
+		a, err = structrev.AnalyzeTolerant(tr, in.Input.Len()*elem, elem, spec.TolerantOpt)
 	} else {
-		a, err = structrev.Analyze(trace, net.Input.Len()*elem, elem)
+		a, err = structrev.Analyze(tr, in.Input.Len()*elem, elem)
 	}
 	if err != nil {
 		return nil, err
 	}
-	stage("analyze", t0)
+	onStage.done("analyze", t0)
 	t0 = time.Now()
-	detected := structrev.DetectDataflow(trace, a, structrev.DetectOptions{})
-	stage("detect", t0)
+	rep.DetectedDataflow = structrev.DetectDataflow(tr, a, structrev.DetectOptions{}).Class.String()
+	onStage.done("detect", t0)
 	t0 = time.Now()
-	structures, serr := structrev.SolveCtx(ctx, a, net.Input.W, net.Input.C, net.NumClasses(), opt)
-	stage("solve", t0)
+	structures, serr := structrev.SolveCtx(ctx, a, in.Input.W, in.Input.C, in.Classes, opt)
+	onStage.done("solve", t0)
 	if serr != nil && !isCtxErr(serr) {
 		return nil, serr
 	}
-	rep := &StructureReport{
-		Analysis:   a,
-		Structures: structures,
-		PerLayer:   structrev.UniqueConfigs(a, structures),
-		TruthIndex: -1,
-		TraceBytes: trace.Blocks() * uint64(trace.BlockBytes),
-		Partial:    serr != nil,
-		Corrupted:  corrupted,
-		Tolerant:   tolerant,
-		Noise:      a.Noise,
-
-		Dataflow:         cfg.Dataflow.String(),
-		DetectedDataflow: detected.Class.String(),
-	}
-	if defended {
-		rep.Defense = spec.Defense.Kind
-		rep.DefenseStats = defStats
-	}
-	rep.TruthIndex = FindTruth(structures, GroundTruthConfigs(net))
+	rep.Analysis = a
+	rep.Structures = structures
+	rep.PerLayer = structrev.UniqueConfigs(a, structures)
+	rep.TraceBytes = tr.Blocks() * uint64(tr.BlockBytes)
+	rep.Partial = serr != nil
+	rep.Noise = a.Noise
 	return rep, serr
 }
 

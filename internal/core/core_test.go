@@ -1,12 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"cnnrev/internal/accel"
+	"cnnrev/internal/corrupt"
+	"cnnrev/internal/defense"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/structrev"
 )
@@ -26,6 +32,73 @@ func TestStructureAttackLeNetEndToEnd(t *testing.T) {
 	}
 	if len(rep.PerLayer) != 4 {
 		t.Fatalf("per-layer map has %d entries, want 4", len(rep.PerLayer))
+	}
+}
+
+// TestAttackTraceMatchesRunStructureAttackSpec: attacking a captured trace
+// directly reports what the capturing pipeline reports, stage for stage,
+// except the truth index, which needs the victim.
+func TestAttackTraceMatchesRunStructureAttackSpec(t *testing.T) {
+	net := nn.LeNet(10)
+	net.InitWeights(2)
+	cfg := accel.Config{Dataflow: accel.WeightStationary}
+	spec := StructureAttackSpec{
+		Defense: defense.Config{Kind: "fuse"},
+		Corrupt: corrupt.Config{Seed: 1, DropRate: 0.02, ReorderWindow: 16},
+	}
+	var stages []string
+	want, err := RunStructureAttackSpec(context.Background(), net, cfg, structrev.DefaultOptions(), 2, spec,
+		func(stage string, _ time.Duration) { stages = append(stages, stage) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := []string{"capture", "defense", "corrupt", "analyze", "detect", "solve"}; !reflect.DeepEqual(stages, s) {
+		t.Fatalf("stages %v, want %v", stages, s)
+	}
+
+	cap, err := Capture(net, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TraceInput{Input: net.Input, ElemBytes: 4, Classes: 10, Dataflow: cfg.Dataflow}
+	got, err := AttackTrace(context.Background(), cap.Result.Trace, in, structrev.DefaultOptions(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TruthIndex != -1 {
+		t.Fatalf("TruthIndex %d without a victim, want -1", got.TruthIndex)
+	}
+	got.TruthIndex = want.TruthIndex
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AttackTrace report differs from RunStructureAttackSpec's:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestAttackTraceChecksContextAfterDefense: a context that expires by the
+// end of the defense stage ends the attack there with no report, while
+// without a defense the same context reaches the solve and yields a
+// partial report.
+func TestAttackTraceChecksContextAfterDefense(t *testing.T) {
+	net := nn.LeNet(10)
+	cap, err := Capture(net, accel.Config{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	in := TraceInput{Input: net.Input, ElemBytes: 4, Classes: 10}
+	var stages []string
+	onStage := func(stage string, _ time.Duration) { stages = append(stages, stage) }
+	spec := StructureAttackSpec{Defense: defense.Config{Kind: "fuse"}}
+	if rep, err := AttackTrace(ctx, cap.Result.Trace, in, structrev.DefaultOptions(), spec, onStage); rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("defended: report %v, err %v; want nil, context.Canceled", rep != nil, err)
+	}
+	if !reflect.DeepEqual(stages, []string{"defense"}) {
+		t.Fatalf("defended stages %v, want [defense]", stages)
+	}
+	rep, err := AttackTrace(ctx, cap.Result.Trace, in, structrev.DefaultOptions(), StructureAttackSpec{}, nil)
+	if rep == nil || !rep.Partial || !errors.Is(err, context.Canceled) {
+		t.Fatalf("undefended: report %v, err %v; want a partial report", rep, err)
 	}
 }
 

@@ -22,6 +22,7 @@ package corrupt
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -30,43 +31,44 @@ import (
 )
 
 // Config selects corruption models and their rates. The zero value disables
-// every model: Apply becomes a deep copy.
+// every model: Apply becomes a deep copy. The json and query tags name each
+// knob on revcnnd's request surface (internal/serve).
 type Config struct {
 	// Seed drives the single PRNG behind all enabled models. Equal seeds on
 	// equal inputs corrupt identically.
-	Seed int64
+	Seed int64 `json:"seed" query:"corrupt_seed"`
 
 	// DropRate is the i.i.d. probability in [0,1] that any single burst
 	// record is missed by the probe (undersampling).
-	DropRate float64
+	DropRate float64 `json:"drop_rate" query:"drop_rate"`
 
 	// SplitRate is the probability in [0,1] that a multi-block burst is
 	// observed as two separate transactions, cut at a uniformly random
 	// block boundary.
-	SplitRate float64
+	SplitRate float64 `json:"split_rate" query:"split_rate"`
 
 	// CoalesceRate is the probability in [0,1] that a pair of adjacent,
 	// contiguous, same-kind records is observed as one coarser transaction
 	// (the inverse of SplitRate: a probe that integrates over longer
 	// windows than the burst engine).
-	CoalesceRate float64
+	CoalesceRate float64 `json:"coalesce_rate" query:"coalesce_rate"`
 
 	// ReorderWindow bounds memory-controller reordering: each record may
 	// move at most ReorderWindow positions from its true slot. The original
 	// monotonic cycle sequence is reassigned to the shuffled records in
 	// order, modelling a controller that reorders requests but issues them
 	// back-to-back. 0 disables reordering.
-	ReorderWindow int
+	ReorderWindow int `json:"reorder_window" query:"reorder_window"`
 
 	// InterferenceRate injects co-tenant traffic: for each original record
 	// an independent coin with this probability adds one interfering access
 	// at a cycle drawn from the trace's span.
-	InterferenceRate float64
+	InterferenceRate float64 `json:"interference_rate" query:"interference_rate"`
 
 	// InterferenceRegions is the number of disjoint co-tenant address
 	// regions the injected accesses are spread over. Defaults to 2 when
 	// InterferenceRate > 0.
-	InterferenceRegions int
+	InterferenceRegions int `json:"interference_regions" query:"interference_regions"`
 
 	// ProbeGranularityBlocks is the burst length, in blocks, at which the
 	// probe observes the bus. The simulator's recorder coalesces a layer's
@@ -76,13 +78,42 @@ type Config struct {
 	// size, so DropRate drops ~that fraction of *traffic* (not of layers)
 	// and ReorderWindow permutes locally (not across layers). 0 defaults
 	// to 16.
-	ProbeGranularityBlocks int
+	ProbeGranularityBlocks int `json:"probe_granularity_blocks" query:"probe_granularity_blocks"`
 }
 
 // Enabled reports whether any corruption model is active.
 func (c Config) Enabled() bool {
 	return c.DropRate > 0 || c.SplitRate > 0 || c.CoalesceRate > 0 ||
 		c.ReorderWindow > 0 || c.InterferenceRate > 0
+}
+
+// Validate rejects rates outside [0,1], non-finite rates, and counts
+// outside the bounds Apply can run in bounded time and memory. Errors name
+// the knob by its request-surface name.
+func (c Config) Validate() error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{
+		{"drop_rate", c.DropRate},
+		{"split_rate", c.SplitRate},
+		{"coalesce_rate", c.CoalesceRate},
+		{"interference_rate", c.InterferenceRate},
+	} {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
+			return fmt.Errorf("%s must be in [0,1], got %g", r.name, r.v)
+		}
+	}
+	if c.ReorderWindow < 0 || c.ReorderWindow > 1<<20 {
+		return fmt.Errorf("reorder_window must be in [0,%d], got %d", 1<<20, c.ReorderWindow)
+	}
+	if c.InterferenceRegions < 0 || c.InterferenceRegions > 64 {
+		return fmt.Errorf("interference_regions must be in [0,64], got %d", c.InterferenceRegions)
+	}
+	if c.ProbeGranularityBlocks < 0 || c.ProbeGranularityBlocks > 1<<20 {
+		return fmt.Errorf("probe_granularity_blocks must be in [0,%d], got %d", 1<<20, c.ProbeGranularityBlocks)
+	}
+	return nil
 }
 
 // Severity is a scalar summary of how aggressive the configuration is,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"strings"
 	"testing"
 
 	"cnnrev/internal/memtrace"
@@ -53,6 +55,31 @@ func TestZeroConfigIsByteIdentical(t *testing.T) {
 	}
 	if Config.Enabled(Config{Seed: 99}) {
 		t.Fatal("seed alone must not enable corruption")
+	}
+}
+
+// TestValidate pins the request-surface bounds: rates in [0,1] and finite,
+// counts within what Apply runs in bounded memory, errors naming the knob.
+func TestValidate(t *testing.T) {
+	if err := (Config{Seed: -5, DropRate: 1, ReorderWindow: 1 << 20, InterferenceRegions: 64}).Validate(); err != nil {
+		t.Fatalf("in-bounds config rejected: %v", err)
+	}
+	for _, c := range []struct {
+		cfg  Config
+		name string
+	}{
+		{Config{DropRate: 2}, "drop_rate"},
+		{Config{DropRate: math.NaN()}, "drop_rate"},
+		{Config{SplitRate: math.Inf(1)}, "split_rate"},
+		{Config{CoalesceRate: -0.1}, "coalesce_rate"},
+		{Config{InterferenceRate: math.NaN()}, "interference_rate"},
+		{Config{ReorderWindow: -1}, "reorder_window"},
+		{Config{InterferenceRegions: 65}, "interference_regions"},
+		{Config{ProbeGranularityBlocks: 1<<20 + 1}, "probe_granularity_blocks"},
+	} {
+		if err := c.cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.name+" ") {
+			t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, c.name)
+		}
 	}
 }
 

@@ -74,8 +74,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 // FuzzTraceDecode feeds arbitrary bytes to both decode paths: they must
 // never panic, DecodeTrace's allocation must be bounded by the input length
-// (not the header's claim), and any accepted buffer must be canonical —
-// re-encoding reproduces the input byte for byte.
+// (not the header's claim), any accepted buffer must be canonical —
+// re-encoding reproduces the input byte for byte — and both accept exactly
+// the same inputs.
 func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A valid empty trace.
@@ -101,8 +102,8 @@ func FuzzTraceDecode(f *testing.F) {
 			if !bytes.Equal(re.Bytes(), raw) {
 				t.Fatal("accepted buffer is not canonical: re-encoding differs")
 			}
-			// The streaming reader must accept everything the strict decoder
-			// accepts, and agree on the contents.
+			// The streaming reader accepts the same buffer and agrees on the
+			// contents.
 			rd, err := ReadTrace(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatalf("ReadTrace rejected a DecodeTrace-accepted buffer: %v", err)
@@ -112,9 +113,11 @@ func FuzzTraceDecode(f *testing.F) {
 			}
 			return
 		}
-		// Invalid input: the streaming reader may be more lenient (it ignores
-		// trailing bytes) but must not panic.
-		_, _ = ReadTrace(bytes.NewReader(raw))
+		// Both accept exactly the same inputs: the streaming reader rejects
+		// what the strict decoder rejects, trailing bytes included.
+		if _, rerr := ReadTrace(bytes.NewReader(raw)); rerr == nil {
+			t.Fatalf("ReadTrace accepted a buffer DecodeTrace rejects: %v", err)
+		}
 	})
 }
 

@@ -162,83 +162,49 @@ func decodeAccess(rec []byte, blockBytes uint64) (Access, error) {
 }
 
 // DecodeTrace parses a serialized trace from an in-memory buffer — the
-// hardened entry point for untrusted input (e.g. service uploads). Unlike
-// the streaming ReadTrace it knows the total input length up front, so the
-// header's declared record count is validated against the bytes actually
-// present before any allocation: a forged count can never make the decoder
-// allocate more than the input itself could hold. Block sizes outside
-// (0, MaxBlockBytes] and trailing bytes past the declared records are
-// rejected, which makes the accepted encoding canonical — any buffer
-// DecodeTrace accepts re-encodes via Write to the identical bytes. It is
-// a thin wrapper over the streaming Decoder with a size hint; callers that
-// can avoid materializing the serialized bytes should use NewDecoder
-// directly.
+// hardened entry point for untrusted input (e.g. service uploads). Knowing
+// the total input length up front, it validates the header's declared record
+// count against the bytes actually present before any allocation: a forged
+// count can never make the decoder allocate more than the input itself
+// could hold. Block sizes outside (0, MaxBlockBytes] and trailing bytes
+// past the declared records are rejected, which makes the accepted encoding
+// canonical — any buffer DecodeTrace accepts re-encodes via Write to the
+// identical bytes. It is a thin wrapper over the streaming Decoder with a
+// size hint; callers that can avoid materializing the serialized bytes
+// should use NewDecoder directly.
 func DecodeTrace(data []byte) (*Trace, error) {
 	d := NewDecoder(bytes.NewReader(data))
 	// Knowing the total length up front lets the decoder validate the
 	// declared record count before any allocation and reject trailing
-	// bytes from the header alone, which keeps the accepted encoding
-	// canonical and makes the preallocation below safe.
+	// bytes from the header alone, which makes the exact preallocation
+	// below safe.
 	d.sizeHint = int64(len(data))
 	if err := d.readHeader(); err != nil {
 		return nil, err
 	}
-	t := &Trace{BlockBytes: int(d.block), Accesses: make([]Access, 0, d.declared)}
+	return d.readAll(make([]Access, 0, d.declared))
+}
+
+// ReadTrace deserializes a trace written by Write from a stream of unknown
+// length. It is the same strict Decoder as DecodeTrace, so the two accept
+// exactly the same inputs: a forged record count hits EOF instead of
+// allocating, and data past the declared records is an error.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	return NewDecoder(r).readAll(nil)
+}
+
+// readAll drains the decoder into one trace, appending to accs.
+func (d *Decoder) readAll(accs []Access) (*Trace, error) {
 	for {
 		batch, err := d.Next()
 		if err == io.EOF {
-			break
+			return &Trace{BlockBytes: d.BlockBytes(), Accesses: accs}, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.Accesses = append(t.Accesses, batch...)
+		accs = append(accs, batch...)
 	}
-	return t, nil
-}
-
-// ReadTrace deserializes a trace written by Write. It shares DecodeTrace's
-// full-magic, block-size and per-record validation but, reading from a
-// stream of unknown length, it cannot pre-validate the declared record count;
-// the preallocation is capped and bogus counts simply hit EOF. Prefer
-// DecodeTrace for untrusted in-memory input (it additionally rejects
-// trailing bytes, making the accepted encoding canonical).
-func ReadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var hdr [traceHeaderBytes]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("memtrace: read header: %w", err)
-	}
-	magic := binary.LittleEndian.Uint64(hdr[0:8])
-	block := binary.LittleEndian.Uint64(hdr[8:16])
-	n := binary.LittleEndian.Uint64(hdr[16:24])
-	// The full 64-bit header word must match: a garbage high half means the
-	// stream was not produced by Write, however plausible the low half looks.
-	if magic != uint64(traceMagic) {
-		return nil, fmt.Errorf("memtrace: bad magic %#x", magic)
-	}
-	if block == 0 || block > MaxBlockBytes {
-		return nil, fmt.Errorf("memtrace: implausible block size %d", block)
-	}
-	// Cap the preallocation: n is untrusted input; bogus counts simply hit
-	// EOF below.
-	capHint := n
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	t := &Trace{BlockBytes: int(block), Accesses: make([]Access, 0, capHint)}
-	var rec [accessRecordBytes]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("memtrace: read access %d: %w", i, err)
-		}
-		a, err := decodeAccess(rec[:], block)
-		if err != nil {
-			return nil, fmt.Errorf("memtrace: access %d: %w", i, err)
-		}
-		t.Accesses = append(t.Accesses, a)
-	}
-	return t, nil
 }
 
 // Recorder accumulates accesses during simulation, merging bursts that

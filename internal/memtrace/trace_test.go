@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -370,6 +371,20 @@ func TestReadTraceTruncated(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := ReadTrace(bytes.NewReader(raw[:len(raw)-5])); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// TestReadTraceRejectsTrailingBytes: ReadTrace is the strict Decoder, so
+// data past the declared records is an error, as it is for uploads.
+func TestReadTraceRejectsTrailingBytes(t *testing.T) {
+	tr := &Trace{BlockBytes: 4, Accesses: []Access{{Addr: 0, Count: 1}}}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0xAA)
+	if _, err := ReadTrace(&buf); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte: err = %v, want a trailing-data error", err)
 	}
 }
 

@@ -3,9 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
-
-	"cnnrev/internal/accel"
 )
 
 // TestResultCacheLRUEviction pins the byte-budget LRU contract: least
@@ -68,59 +67,103 @@ func TestResultCacheReplaceAndOversize(t *testing.T) {
 	}
 }
 
-// TestCacheKeyDistinguishesParams pins the canonicalization: any
-// result-affecting field must change the key, and the same logical request
-// must reproduce it.
+// TestCacheKeyDistinguishesParams pins the canonicalization: setting any
+// leaf field of the request to a non-zero value changes the key, except the
+// timeout, and the same logical request reproduces it. The walk covers
+// every field the request struct has, so a knob added later cannot be left
+// out of the key.
 func TestCacheKeyDistinguishesParams(t *testing.T) {
 	base := func() *attackRequest {
 		return &attackRequest{
-			mode: "trace", traceHash: "abc", inW: 28, inD: 1, elemBytes: 4,
-			classes: 10, tol: 0.1,
+			Upload:  &uploadParams{SHA256: "abc", InW: 28, InD: 1, Elem: 4},
+			Classes: 10, Tol: 0.1,
 		}
 	}
 	k0 := base().cacheKey()
 	if k0 != base().cacheKey() {
 		t.Fatal("identical requests produced different keys")
 	}
-	mutations := map[string]func(*attackRequest){
-		"trace hash":   func(r *attackRequest) { r.traceHash = "abd" },
-		"inw":          func(r *attackRequest) { r.inW = 32 },
-		"classes":      func(r *attackRequest) { r.classes = 100 },
-		"elem":         func(r *attackRequest) { r.elemBytes = 8 },
-		"modular":      func(r *attackRequest) { r.modular = true },
-		"tolerant":     func(r *attackRequest) { r.tolerant = true },
-		"tol":          func(r *attackRequest) { r.tol = 0.2 },
-		"stride":       func(r *attackRequest) { r.allowStrideOK = true },
-		"max return":   func(r *attackRequest) { r.maxReturn = 5 },
-		"weights":      func(r *attackRequest) { r.weights = true },
-		"corrupt seed": func(r *attackRequest) { r.corrupt.Seed = 9 },
-		"drop rate":    func(r *attackRequest) { r.corrupt.DropRate = 0.01 },
-		"rank present": func(r *attackRequest) { r.rank = &rankParams{} },
-		"rank seed":    func(r *attackRequest) { r.rank = &rankParams{Seed: 3} },
-		"mode":         func(r *attackRequest) { r.mode = "simulate" },
-		"dataflow ws":  func(r *attackRequest) { r.dataflow = accel.WeightStationary },
-		"dataflow rs":  func(r *attackRequest) { r.dataflow = accel.RowStationary },
-	}
 	seen := map[string]string{k0: "base"}
-	for name, mutate := range mutations {
+	for _, path := range jsonLeaves(reflect.TypeOf(attackRequest{}), nil) {
 		r := base()
-		mutate(r)
+		name := setLeaf(reflect.ValueOf(r).Elem(), path)
 		k := r.cacheKey()
+		if name == "TimeoutMS" {
+			if k != k0 {
+				t.Fatal("timeout leaked into the cache key")
+			}
+			continue
+		}
 		if prev, dup := seen[k]; dup {
-			t.Fatalf("mutation %q collides with %q on key %q", name, prev, k)
+			t.Fatalf("setting %s collides with %s on key %q", name, prev, k)
 		}
 		seen[k] = name
 	}
+	if len(seen) < 40 {
+		t.Fatalf("walked only %d leaves; the request has more knobs than that", len(seen)-1)
+	}
 	// Simulate mode keys on the resolved seed: 0 and 2 are distinct.
-	s0 := &attackRequest{mode: "simulate", model: "lenet", seed: 0}
-	s2 := &attackRequest{mode: "simulate", model: "lenet", seed: 2}
+	s0 := &attackRequest{Model: "lenet", Seed: 0}
+	s2 := &attackRequest{Model: "lenet", Seed: 2}
 	if s0.cacheKey() == s2.cacheKey() {
 		t.Fatal("seed 0 and seed 2 collide on one cache key")
 	}
-	// The timeout is deliberately not part of the key.
-	tA := base()
-	tA.timeout = 1
-	if tA.cacheKey() != k0 {
-		t.Fatal("timeout leaked into the cache key")
+	if (&attackRequest{Model: "lenet"}).cacheKey() == base().cacheKey() {
+		t.Fatal("trace and simulate mode collide")
 	}
+}
+
+// jsonLeaves returns the field index paths of every JSON-encoded leaf under
+// struct type t, descending through nested structs and struct pointers.
+func jsonLeaves(t reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() || f.Tag.Get("json") == "-" {
+			continue
+		}
+		path := append(append([]int(nil), prefix...), i)
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			out = append(out, jsonLeaves(ft, path)...)
+			continue
+		}
+		out = append(out, path)
+	}
+	return out
+}
+
+// setLeaf changes the leaf at path to a different non-zero value,
+// allocating nil struct pointers on the way, and returns its dotted name.
+func setLeaf(v reflect.Value, path []int) string {
+	var name string
+	for _, i := range path {
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			v = v.Elem()
+		}
+		if name != "" {
+			name += "."
+		}
+		name += v.Type().Field(i).Name
+		v = v.Field(i)
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	default:
+		panic("setLeaf: unhandled kind " + v.Kind().String())
+	}
+	return name
 }

@@ -5,81 +5,30 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"time"
 
-	"cnnrev/internal/accel"
-	"cnnrev/internal/corrupt"
-	"cnnrev/internal/defense"
 	"cnnrev/internal/memtrace"
 )
 
-// payloadHeader is the job-store wire form of an attackRequest, minus the
-// trace body (which rides behind it in its native serialized form so a
-// multi-megabyte upload is never base64-inflated through JSON). The frontend
-// resolves everything request-shaped — including the effective MaxStructures
-// merged with the server cap — before encoding, so a worker replica with a
-// different local configuration still solves under the submitting frontend's
-// bound and the result matches the frontend's cache key.
-type payloadHeader struct {
-	Mode string `json:"mode"`
-
-	TraceHash string `json:"trace_hash,omitempty"`
-	InW       int    `json:"inw,omitempty"`
-	InD       int    `json:"ind,omitempty"`
-	ElemBytes int    `json:"elem,omitempty"`
-
-	Model    string  `json:"model,omitempty"`
-	DepthDiv int     `json:"depth_div,omitempty"`
-	Filters  int     `json:"filters,omitempty"`
-	ZeroFrac float64 `json:"zero_frac,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-
-	Classes       int            `json:"classes,omitempty"`
-	Modular       bool           `json:"modular,omitempty"`
-	Tol           float64        `json:"tol,omitempty"`
-	AllowStrideOK bool           `json:"allow_stride_ok,omitempty"`
-	MaxStructures int            `json:"max_structures,omitempty"`
-	CapResolved   bool           `json:"cap_resolved,omitempty"`
-	MaxReturn     int            `json:"max_return,omitempty"`
-	Rank          *rankParams    `json:"rank,omitempty"`
-	Weights       bool           `json:"weights,omitempty"`
-	TimeoutNS     int64          `json:"timeout_ns,omitempty"`
-	Dataflow      string         `json:"dataflow,omitempty"`
-	Tolerant      bool           `json:"tolerant,omitempty"`
-	Corrupt       corrupt.Config `json:"corrupt,omitempty"`
-	Defense       defense.Config `json:"defense,omitempty"`
-}
-
-// encodeRequest serializes a parsed request for the job store:
-// a 4-byte little-endian header length, the JSON header, then (trace mode)
-// the raw serialized trace.
+// encodeRequest serializes a validated request for the job store: a
+// 4-byte little-endian length, the request's JSON, then (trace mode) the
+// raw serialized trace, so a multi-megabyte upload is never
+// base64-inflated through JSON. The frontend resolves everything
+// request-shaped — including the effective MaxStructures — before
+// encoding, so a worker replica with a different local configuration still
+// solves under the submitting frontend's bound and the result matches the
+// frontend's cache key.
 func encodeRequest(req *attackRequest) ([]byte, error) {
-	hdr := payloadHeader{
-		Mode:      req.mode,
-		TraceHash: req.traceHash, InW: req.inW, InD: req.inD, ElemBytes: req.elemBytes,
-		Model: req.model, DepthDiv: req.depthDiv, Filters: req.filters,
-		ZeroFrac: req.zeroFrac, Seed: req.seed,
-		Classes: req.classes, Modular: req.modular, Tol: req.tol,
-		AllowStrideOK: req.allowStrideOK,
-		MaxStructures: req.maxStructures, CapResolved: req.capResolved,
-		MaxReturn: req.maxReturn, Rank: req.rank, Weights: req.weights,
-		TimeoutNS: int64(req.timeout), Dataflow: req.dataflow.String(),
-		Tolerant: req.tolerant, Corrupt: req.corrupt, Defense: req.defense,
-	}
-	hb, err := json.Marshal(&hdr)
+	hb, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(hb)))
-	buf.Write(lenb[:])
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint32(nil, uint32(len(hb))))
 	buf.Write(hb)
-	if req.mode == "trace" {
-		if req.trace == nil {
+	if up := req.Upload; up != nil {
+		if up.Trace == nil {
 			return nil, fmt.Errorf("serve: trace mode request without a trace")
 		}
-		if err := req.trace.Write(&buf); err != nil {
+		if err := up.Trace.Write(buf); err != nil {
 			return nil, err
 		}
 	}
@@ -97,35 +46,18 @@ func decodeRequest(payload []byte) (*attackRequest, error) {
 	if int(hlen) > len(payload)-4 {
 		return nil, fmt.Errorf("serve: job payload header length %d exceeds payload", hlen)
 	}
-	var hdr payloadHeader
-	if err := json.Unmarshal(payload[4:4+hlen], &hdr); err != nil {
+	var req attackRequest
+	if err := json.Unmarshal(payload[4:4+hlen], &req); err != nil {
 		return nil, fmt.Errorf("serve: job payload header: %w", err)
 	}
-	df, err := accel.ParseDataflow(hdr.Dataflow)
-	if err != nil {
-		return nil, fmt.Errorf("serve: job payload dataflow: %w", err)
-	}
-	req := &attackRequest{
-		mode:      hdr.Mode,
-		traceHash: hdr.TraceHash, inW: hdr.InW, inD: hdr.InD, elemBytes: hdr.ElemBytes,
-		model: hdr.Model, depthDiv: hdr.DepthDiv, filters: hdr.Filters,
-		zeroFrac: hdr.ZeroFrac, seed: hdr.Seed,
-		classes: hdr.Classes, modular: hdr.Modular, tol: hdr.Tol,
-		allowStrideOK: hdr.AllowStrideOK,
-		maxStructures: hdr.MaxStructures, capResolved: hdr.CapResolved,
-		maxReturn: hdr.MaxReturn, rank: hdr.Rank, weights: hdr.Weights,
-		timeout:  time.Duration(hdr.TimeoutNS),
-		dataflow: df, tolerant: hdr.Tolerant, corrupt: hdr.Corrupt,
-		defense: hdr.Defense,
-	}
-	if req.mode == "trace" {
+	if up := req.Upload; up != nil {
 		tr, err := memtrace.DecodeTrace(payload[4+hlen:])
 		if err != nil {
 			return nil, fmt.Errorf("serve: job payload trace: %w", err)
 		}
-		req.trace = tr
+		up.Trace = tr
 	}
-	return req, nil
+	return &req, nil
 }
 
 // resultEnvelope is the job-store wire form of a finished job's HTTP

@@ -125,7 +125,7 @@ func TestDefenseValidation(t *testing.T) {
 	}
 }
 
-// TestNegativeCountValidation pins the queryInt lower-bound fix: negative
+// TestNegativeCountValidation pins the lower-bound fix: negative
 // counts and budgets are a 400 on both the query and JSON-body paths
 // instead of flowing silently into the solver and trainer.
 func TestNegativeCountValidation(t *testing.T) {

@@ -9,14 +9,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
-	"cnnrev/internal/accel"
-	"cnnrev/internal/corrupt"
-	"cnnrev/internal/defense"
 	"cnnrev/internal/jobstore"
 	"cnnrev/internal/memtrace"
+	"cnnrev/internal/structrev"
 )
 
 func (s *Server) routes() {
@@ -120,170 +117,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"job_id\":%q,\"state\":%q}\n", id, state)
 }
 
-// queryInt parses an optional integer query parameter.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q", name, v)
-	}
-	return n, nil
-}
-
-// queryBool parses an optional boolean query parameter. Values outside the
-// recognized vocabulary are an error, not false: silently coercing
-// tolerant=ture or rank=yess to false would run the wrong attack under a
-// 200 response.
-func queryBool(r *http.Request, name string) (bool, error) {
-	switch v := r.URL.Query().Get(name); v {
-	case "", "0", "false", "no":
-		return false, nil
-	case "1", "true", "yes":
-		return true, nil
-	default:
-		return false, fmt.Errorf("bad %s=%q (want one of 0/1/true/false/yes/no)", name, v)
-	}
-}
-
-// queryFloat parses an optional float query parameter.
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q", name, v)
-	}
-	return f, nil
-}
-
-// corruptFromQuery assembles the optional trace-corruption model from
-// corruption query params; the zero config (nothing requested) disables it.
-func corruptFromQuery(r *http.Request) (corrupt.Config, error) {
-	cp := &corruptParams{}
-	var err error
-	if cp.DropRate, err = queryFloat(r, "drop_rate", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	if cp.SplitRate, err = queryFloat(r, "split_rate", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	if cp.CoalesceRate, err = queryFloat(r, "coalesce_rate", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	if cp.InterferenceRate, err = queryFloat(r, "interference_rate", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	if cp.ReorderWindow, err = queryInt(r, "reorder_window", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	if cp.InterferenceRegions, err = queryInt(r, "interference_regions", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	if cp.ProbeGranularityBlocks, err = queryInt(r, "probe_granularity_blocks", 0); err != nil {
-		return corrupt.Config{}, err
-	}
-	// Seeds are full int64 on the JSON surface; parse at 64 bits here too so
-	// both request surfaces accept the same range regardless of platform int.
-	if v := r.URL.Query().Get("corrupt_seed"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return corrupt.Config{}, fmt.Errorf("bad corrupt_seed=%q", v)
-		}
-		cp.Seed = seed
-	}
-	return cp.toConfig()
-}
-
-// defenseFromQuery assembles the optional defensive trace transform from
-// defense query params; the zero config (nothing requested) disables it.
-// Validation — including the rejection of knobs that belong to a different
-// defense kind — lives in defenseParams.toConfig, shared with the JSON
-// surface.
-func defenseFromQuery(r *http.Request) (defense.Config, error) {
-	dp := &defenseParams{Kind: r.URL.Query().Get("defense")}
-	var err error
-	if dp.DummyRate, err = queryFloat(r, "defense_dummy_rate", 0); err != nil {
-		return defense.Config{}, err
-	}
-	if dp.BucketBytes, err = queryInt(r, "defense_bucket_bytes", 0); err != nil {
-		return defense.Config{}, err
-	}
-	var onchip int
-	if onchip, err = queryInt(r, "defense_onchip_bytes", 0); err != nil {
-		return defense.Config{}, err
-	}
-	dp.OnChipBytes = int64(onchip)
-	if dp.ORAMZ, err = queryInt(r, "defense_oram_z", 0); err != nil {
-		return defense.Config{}, err
-	}
-	if dp.ORAMBlockBytes, err = queryInt(r, "defense_oram_block", 0); err != nil {
-		return defense.Config{}, err
-	}
-	// Seeds are full int64 on the JSON surface; parse at 64 bits here too so
-	// both request surfaces accept the same range regardless of platform int.
-	if v := r.URL.Query().Get("defense_seed"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return defense.Config{}, fmt.Errorf("bad defense_seed=%q", v)
-		}
-		dp.Seed = seed
-	}
-	return dp.toConfig()
-}
-
-// rankFromQuery assembles optional ranking parameters from rank_* query
-// params; nil when ranking was not requested.
-func rankFromQuery(r *http.Request) (*rankParams, error) {
-	ranked, err := queryBool(r, "rank")
-	if err != nil {
-		return nil, err
-	}
-	if !ranked {
-		return nil, nil
-	}
-	rp := &rankParams{}
-	if rp.Classes, err = queryInt(r, "rank_classes", 0); err != nil {
-		return nil, err
-	}
-	if rp.PerClass, err = queryInt(r, "rank_per_class", 0); err != nil {
-		return nil, err
-	}
-	if rp.Epochs, err = queryInt(r, "rank_epochs", 0); err != nil {
-		return nil, err
-	}
-	if rp.DepthDiv, err = queryInt(r, "rank_depth_div", 0); err != nil {
-		return nil, err
-	}
-	if rp.MaxCandidates, err = queryInt(r, "rank_max_candidates", 0); err != nil {
-		return nil, err
-	}
-	if rp.Halving, err = queryBool(r, "rank_halving"); err != nil {
-		return nil, err
-	}
-	if rp.Eta, err = queryInt(r, "rank_eta", 0); err != nil {
-		return nil, err
-	}
-	if rp.MinEpochs, err = queryInt(r, "rank_min_epochs", 0); err != nil {
-		return nil, err
-	}
-	if v := r.URL.Query().Get("rank_seed"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rank_seed=%q", v)
-		}
-		rp.Seed = seed
-	}
-	if err := rp.validate(); err != nil {
-		return nil, err
-	}
-	return rp, nil
-}
-
 // handleTrace accepts a raw serialized memtrace body plus query parameters
 // describing what the adversary knows (input geometry and class count).
 // The body is never buffered: records stream from the wire through the
@@ -296,79 +129,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("trace exceeds %d byte upload limit", s.cfg.MaxUploadBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
-	req := &attackRequest{mode: "trace"}
-	var err error
-	if req.inW, err = queryInt(r, "inw", 0); err == nil && (req.inW <= 0 || req.inW > 1<<14) {
-		err = fmt.Errorf("trace attack requires 0 < inw <= %d (input width)", 1<<14)
-	}
+	up := &uploadParams{Elem: 4}
+	req := &attackRequest{Upload: up}
+	opts := submitOptions{Wait: true}
+	err := bindQuery(r.URL.Query(), req, &opts)
 	if err == nil {
-		if req.inD, err = queryInt(r, "ind", 0); err == nil && (req.inD <= 0 || req.inD > 1<<12) {
-			err = fmt.Errorf("trace attack requires 0 < ind <= %d (input channels)", 1<<12)
-		}
-	}
-	if err == nil {
-		if req.classes, err = queryInt(r, "classes", 0); err == nil && (req.classes <= 0 || req.classes > 1<<20) {
-			err = fmt.Errorf("trace attack requires 0 < classes <= %d", 1<<20)
-		}
-	}
-	if err == nil {
-		if req.elemBytes, err = queryInt(r, "elem", 4); err == nil && (req.elemBytes <= 0 || req.elemBytes > 64) {
-			err = fmt.Errorf("elem must be in [1,64] bytes, got %d", req.elemBytes)
-		}
-	}
-	if err == nil {
-		req.corrupt, err = corruptFromQuery(r)
-	}
-	if err == nil {
-		req.defense, err = defenseFromQuery(r)
-	}
-	if err == nil {
-		if req.maxStructures, err = queryInt(r, "max_structures", 0); err == nil && req.maxStructures < 0 {
-			err = fmt.Errorf("max_structures must be >= 0, got %d", req.maxStructures)
-		}
-	}
-	if err == nil {
-		if req.maxReturn, err = queryInt(r, "max_return", 0); err == nil && req.maxReturn < 0 {
-			err = fmt.Errorf("max_return must be >= 0, got %d", req.maxReturn)
-		}
-	}
-	if err == nil {
-		req.rank, err = rankFromQuery(r)
-	}
-	if err == nil {
-		req.modular, err = queryBool(r, "modular")
-	}
-	if err == nil {
-		req.tolerant, err = queryBool(r, "tolerant")
-	}
-	if err == nil {
-		req.allowStrideOK, err = queryBool(r, "allow_stride_over_kernel")
-	}
-	if err == nil {
-		req.cacheBypass, err = queryBool(r, "cache_bypass")
-	}
-	if err == nil {
-		req.dataflow, err = accel.ParseDataflow(r.URL.Query().Get("dataflow"))
+		err = req.validate()
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if tol := r.URL.Query().Get("tol"); tol != "" {
-		if req.tol, err = strconv.ParseFloat(tol, 64); err != nil {
-			http.Error(w, fmt.Sprintf("bad tol=%q", tol), http.StatusBadRequest)
-			return
-		}
-	}
-	timeoutMS, err := queryInt(r, "timeout_ms", 0)
-	if err == nil && timeoutMS < 0 {
-		err = fmt.Errorf("timeout_ms must be >= 0, got %d", timeoutMS)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	req.timeout = time.Duration(timeoutMS) * time.Millisecond
 
 	// Stream the body through hash and decoder in one pass. MaxBytesReader
 	// still guards chunked uploads that carry no Content-Length; its error
@@ -403,126 +174,37 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		accs = append(accs, batch...)
 	}
-	req.trace = &memtrace.Trace{BlockBytes: dec.BlockBytes(), Accesses: accs}
-	req.traceHash = hex.EncodeToString(hash.Sum(nil))
+	up.Trace = &memtrace.Trace{BlockBytes: dec.BlockBytes(), Accesses: accs}
+	up.SHA256 = hex.EncodeToString(hash.Sum(nil))
 	s.met.ObserveStage("decode", time.Since(decodeStart))
-	s.submit(w, r, req)
+	s.submit(w, r, req, opts)
 }
 
-// simulateRequest is the JSON body of /v1/attack/simulate.
-type simulateRequest struct {
-	Model    string  `json:"model"`
-	Classes  int     `json:"classes"`
-	DepthDiv int     `json:"depth_div"`
-	Filters  int     `json:"filters"`
-	ZeroFrac float64 `json:"zero_frac"`
-	// Seed is a pointer so "absent" and an explicit 0 stay distinguishable:
-	// an omitted seed defaults to 2 (the seed the examples and golden corpus
-	// use), while seed 0 is a legitimate victim in its own right — and the
-	// two must never collide on one result-cache key.
-	Seed          *int64      `json:"seed"`
-	Modular       bool        `json:"modular"`
-	Tol           float64     `json:"tol"`
-	AllowStrideOK bool        `json:"allow_stride_over_kernel"`
-	MaxStructures int         `json:"max_structures"`
-	MaxReturn     int         `json:"max_return"`
-	Rank          *rankParams `json:"rank"`
-	Weights       bool        `json:"weights"`
-	TimeoutMS     int         `json:"timeout_ms"`
-
-	// Tolerant forces the noise-tolerant analysis path even on a clean
-	// capture; Corrupt degrades the captured trace before analysis and
-	// implies Tolerant.
-	Tolerant bool           `json:"tolerant"`
-	Corrupt  *corruptParams `json:"corrupt"`
-
-	// Defense applies a defensive trace transform to the captured trace
-	// before any adversary-side stage (internal/defense).
-	Defense *defenseParams `json:"defense"`
-
-	// Dataflow selects the accelerator backend the victim runs on
-	// (output-stationary | weight-stationary | row-stationary, or the os/ws/rs
-	// shorthand; empty = output-stationary).
-	Dataflow string `json:"dataflow"`
-}
-
+// handleSimulate accepts a JSON victim spec. Unknown fields are a 400. The
+// upload is a request field only the trace endpoint fills, so a body that
+// names it gets the decoder's unknown-field error too.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var sr simulateRequest
+	opts := submitOptions{Wait: true}
+	if err := bindQuery(r.URL.Query(), &opts); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	req := &attackRequest{Seed: 2} // the documented default for an omitted seed
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
+	err := dec.Decode(req)
+	if err == nil && req.Upload != nil {
+		err = errors.New(`json: unknown field "upload"`)
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if sr.Model == "" {
-		http.Error(w, "missing model", http.StatusBadRequest)
-		return
-	}
-	bypass, err := queryBool(r, "cache_bypass")
-	if err != nil {
+	if err := req.validate(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	dataflow, err := accel.ParseDataflow(sr.Dataflow)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if sr.Rank != nil {
-		if err := sr.Rank.validate(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	// Negative counts would flow silently into victim construction and
-	// solver/return semantics (and mint their own cache keys); reject them
-	// here the way the query surface does.
-	for _, c := range []struct {
-		name string
-		v    int
-	}{
-		{"classes", sr.Classes},
-		{"depth_div", sr.DepthDiv},
-		{"filters", sr.Filters},
-		{"max_structures", sr.MaxStructures},
-		{"max_return", sr.MaxReturn},
-		{"timeout_ms", sr.TimeoutMS},
-	} {
-		if c.v < 0 {
-			http.Error(w, fmt.Sprintf("%s must be >= 0, got %d", c.name, c.v), http.StatusBadRequest)
-			return
-		}
-	}
-	seed := int64(2) // documented default for an omitted seed
-	if sr.Seed != nil {
-		seed = *sr.Seed
-	}
-	req := &attackRequest{
-		mode: "simulate", model: sr.Model, classes: sr.Classes, depthDiv: sr.DepthDiv,
-		filters: sr.Filters, zeroFrac: sr.ZeroFrac, seed: seed,
-		modular: sr.Modular, tol: sr.Tol, allowStrideOK: sr.AllowStrideOK,
-		maxStructures: sr.MaxStructures, maxReturn: sr.MaxReturn,
-		rank: sr.Rank, weights: sr.Weights,
-		timeout:  time.Duration(sr.TimeoutMS) * time.Millisecond,
-		tolerant: sr.Tolerant, cacheBypass: bypass, dataflow: dataflow,
-	}
-	if sr.Corrupt != nil {
-		cfg, err := sr.Corrupt.toConfig()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req.corrupt = cfg
-	}
-	if sr.Defense != nil {
-		cfg, err := sr.Defense.toConfig()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req.defense = cfg
-	}
-	s.submit(w, r, req)
+	s.submit(w, r, req, opts)
 }
 
 // marshalResponse renders an attack response body as compact JSON without
@@ -541,29 +223,33 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Write([]byte{'\n'})
 }
 
-// submit resolves the request against the content-addressed result cache,
-// then — on a miss — encodes it into the job store. wait=true (the
+// solverCap merges a request's solver cap with the server's
+// -max-structures: the tighter positive bound wins, over the solver's
+// default.
+func (s *Server) solverCap(requested int) int {
+	c := structrev.DefaultOptions().MaxStructures
+	if s.cfg.MaxStructures > 0 {
+		c = s.cfg.MaxStructures
+	}
+	if requested > 0 && requested < c {
+		c = requested
+	}
+	return c
+}
+
+// submit resolves a validated request against the content-addressed result
+// cache, then — on a miss — encodes it into the job store. opts.Wait (the
 // default) blocks until a worker (or shutdown) finishes the job, writing
-// its outcome and caching complete results; wait=false returns 202 with
-// the job ID for GET /v1/jobs polling. The effective solver cap is
+// its outcome and caching complete results; otherwise submit returns 202
+// with the job ID for GET /v1/jobs polling. The effective solver cap is
 // resolved here, before keying and encoding, so every worker replica
 // solves under the submitting frontend's bound.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackRequest) {
-	wait := true
-	switch v := r.URL.Query().Get("wait"); v {
-	case "", "1", "true", "yes":
-	case "0", "false", "no":
-		wait = false
-	default:
-		http.Error(w, fmt.Sprintf("bad wait=%q (want one of 0/1/true/false/yes/no)", v), http.StatusBadRequest)
-		return
-	}
-	req.maxStructures = s.solverOptions(req).MaxStructures
-	req.capResolved = true
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackRequest, opts submitOptions) {
+	req.MaxStructures = s.solverCap(req.MaxStructures)
 	var key string
-	if s.cache != nil && wait {
+	if s.cache != nil && opts.Wait {
 		key = req.cacheKey()
-		if req.cacheBypass {
+		if opts.CacheBypass {
 			s.met.cacheBypassed.Add(1)
 		} else if body, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Add(1)
@@ -574,8 +260,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 			s.met.cacheMisses.Add(1)
 		}
 	}
-	if req.timeout <= 0 || req.timeout > s.cfg.JobTimeout {
-		req.timeout = s.cfg.JobTimeout
+	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
+	if timeout <= 0 || timeout > s.cfg.JobTimeout {
+		timeout = s.cfg.JobTimeout
 	}
 	payload, err := encodeRequest(req)
 	if err != nil {
@@ -592,15 +279,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 		http.Error(w, errDraining.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	if wait {
+	if opts.Wait {
 		s.tracked[id] = struct{}{}
 	}
 	s.mu.Unlock()
-	if wait {
+	if opts.Wait {
 		defer s.untrack(id)
 	}
 
-	deadline := time.Now().Add(req.timeout)
+	deadline := time.Now().Add(timeout)
 	if err := s.store.Submit(jobstore.Job{ID: id, Payload: payload, Deadline: deadline}); err != nil {
 		code := http.StatusServiceUnavailable
 		if errors.Is(err, jobstore.ErrFull) {
@@ -612,7 +299,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 		http.Error(w, err.Error(), code)
 		return
 	}
-	if wait && s.isDraining() {
+	if opts.Wait && s.isDraining() {
 		// Shutdown's abort sweep may have run between tracking and Submit,
 		// finding nothing to cancel; abort the stragglers ourselves. A job a
 		// worker already claimed drains to completion like any in-flight job.
@@ -624,9 +311,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 		}
 	}
 
-	if !wait {
+	if !opts.Wait {
 		s.met.async.Add(1)
-		s.log.Info("job accepted", "job", id, "mode", req.mode, "timeout", req.timeout)
+		s.log.Info("job accepted", "job", id, "mode", req.mode(), "timeout", timeout)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Location", "/v1/jobs/"+id)
 		w.WriteHeader(http.StatusAccepted)

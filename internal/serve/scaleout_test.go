@@ -293,7 +293,7 @@ func TestOrphanedLeaseReclaimedByNewServer(t *testing.T) {
 	}
 	defer st.Close()
 
-	req := &attackRequest{mode: "simulate", model: "lenet", timeout: time.Minute}
+	req := &attackRequest{Model: "lenet", TimeoutMS: 60_000}
 	payload, err := encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
@@ -370,27 +370,25 @@ func TestWeightsStageObservedOnFailure(t *testing.T) {
 // computed under the old bound.
 func TestCacheKeyUsesEffectiveCap(t *testing.T) {
 	base := func() *attackRequest {
-		return &attackRequest{mode: "simulate", model: "lenet", classes: 10, maxStructures: 100}
+		return &attackRequest{Model: "lenet", Classes: 10, MaxStructures: 100}
 	}
 	tight := &Server{cfg: Config{MaxStructures: 7}}
 	loose := &Server{cfg: Config{MaxStructures: 0}}
 
 	a, b := base(), base()
-	a.maxStructures = tight.solverOptions(a).MaxStructures
-	a.capResolved = true
-	b.maxStructures = loose.solverOptions(b).MaxStructures
-	b.capResolved = true
-	if a.maxStructures != 7 {
-		t.Fatalf("effective cap = %d, want server cap 7", a.maxStructures)
+	a.MaxStructures = tight.solverCap(a.MaxStructures)
+	b.MaxStructures = loose.solverCap(b.MaxStructures)
+	if a.MaxStructures != 7 {
+		t.Fatalf("effective cap = %d, want server cap 7", a.MaxStructures)
 	}
 	if a.cacheKey() == b.cacheKey() {
 		t.Fatal("cache keys collide across different effective caps")
 	}
-	if !strings.HasPrefix(a.cacheKey(), "v3|") {
+	if !strings.HasPrefix(a.cacheKey(), "v4|") {
 		t.Fatalf("cache key %q not version-bumped", a.cacheKey())
 	}
 	// Once resolved, a worker's own config must not re-merge the cap.
-	if got := tight.solverOptions(b).MaxStructures; got != b.maxStructures {
-		t.Fatalf("worker re-merged resolved cap: %d, want %d", got, b.maxStructures)
+	if got := b.solverOptions().MaxStructures; got != b.MaxStructures {
+		t.Fatalf("worker re-merged resolved cap: %d, want %d", got, b.MaxStructures)
 	}
 }

@@ -533,12 +533,15 @@ func TestCorruptTolerantEndToEnd(t *testing.T) {
 
 	started := s.Metrics().Counter("started")
 
-	// Out-of-range corruption parameters are rejected before enqueue.
+	// Out-of-range and non-finite corruption and analysis parameters are
+	// rejected before enqueue; a NaN must never reach the JSON job encoding.
 	for _, bad := range []string{
 		"drop_rate=2",
 		"interference_rate=-0.5",
 		"reorder_window=-1",
 		"interference_regions=1000",
+		"tol=NaN", "tol=Inf", "tol=-Inf", "tol=-1",
+		"drop_rate=NaN", "split_rate=NaN", "interference_rate=NaN",
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/attack/trace?inw=28&ind=1&classes=10&"+bad, "application/octet-stream", bytes.NewReader(raw))
 		if err != nil {

@@ -430,8 +430,8 @@ func (s *Server) runClaimed(idx int, name string, c *jobstore.Claim) {
 
 	start := time.Now()
 	s.log.Info("job start", "job", c.ID, "worker", name, "attempt", c.Attempt,
-		"mode", req.mode, "model", req.model, "rank", req.rank != nil,
-		"weights", req.weights, "timeout", req.timeout)
+		"mode", req.mode(), "model", req.Model, "rank", req.Rank != nil,
+		"weights", req.Weights, "deadline", c.Deadline)
 
 	resp, status, err := s.execute(&job{id: c.ID, ctx: ctx, req: req})
 
