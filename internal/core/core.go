@@ -36,16 +36,18 @@ type CaptureResult struct {
 // Capture observes one inference of net on the simulated accelerator with a
 // deterministic random input and returns the observables. Unless cfg
 // zero-prunes, no layer is computed: the trace does not depend on the
-// values.
+// values, so the input is left unfilled and seed is not used.
 func Capture(net *nn.Network, cfg accel.Config, seed int64) (*CaptureResult, error) {
 	sim, err := accel.New(net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	x := make([]float32, net.Input.Len())
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
+	if cfg.ZeroPrune {
+		rng := rand.New(rand.NewSource(seed))
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
 	}
 	res, err := sim.Observe(x)
 	if err != nil {
@@ -464,11 +466,22 @@ func RunWeightAttackOpts(ctx context.Context, net *nn.Network, cfg accel.Config,
 	}
 	at := weightrev.NewAttacker(oracle, g)
 	at.Serial = opts.Serial
+	w := net.Params[0].W.Data
+	b := net.Params[0].B.Data
+	// The attack recovers w/b, which a zero bias leaves undefined: every
+	// crossing would sit at 0, and the search would spend its whole query
+	// budget without finding one. Reject such a filter before the first
+	// query (a layer out of the algorithm's reach reports that instead).
+	if g.CornerReachable() == nil {
+		for d, bias := range b {
+			if bias == 0 {
+				return nil, fmt.Errorf("weightrev: filter %d has a zero bias, so its w/b ratios are undefined", d)
+			}
+		}
+	}
 
 	rep := &WeightReport{Filters: spec.OutC}
 	rep.Ratios = make([][][][]float64, spec.OutC)
-	w := net.Params[0].W.Data
-	b := net.Params[0].B.Data
 	inC, f := net.Input.C, spec.F
 
 	// Filters are independent: RecoverAllFilters fans them out on the shared

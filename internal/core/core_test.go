@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -244,6 +245,30 @@ func TestRunWeightAttackAccuracy(t *testing.T) {
 	}
 }
 
+// TestRunWeightAttackRejectsZeroBias: a zero bias leaves the filter's w/b
+// undefined, so the attack must refuse the victim before any query rather
+// than exhaust its search and report an infinite ratio error.
+func TestRunWeightAttackRejectsZeroBias(t *testing.T) {
+	spec := nn.LayerSpec{Name: "conv1", Kind: nn.KindConv, OutC: 3, F: 5, S: 2, ReLU: true}
+	net, err := nn.New("victim", nn.Shape{C: 1, H: 16, W: 16}, []nn.LayerSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(4)
+	for d := range net.Params[0].B.Data {
+		net.Params[0].B.Data[d] = 0.05
+	}
+	net.Params[0].B.Data[1] = 0
+	rep, err := RunWeightAttack(net, accel.Config{})
+	if err == nil || !strings.Contains(err.Error(), "filter 1 has a zero bias") {
+		t.Fatalf("report %+v, error %v; want filter 1's zero bias rejected", rep, err)
+	}
+	net.Params[0].B.Data[1] = -0.05
+	if _, err := RunWeightAttack(net, accel.Config{}); err != nil {
+		t.Fatalf("non-zero biases: %v", err)
+	}
+}
+
 func TestRankCandidatesCapsAndSurvivesErrors(t *testing.T) {
 	net := nn.LeNet(3)
 	net.InitWeights(1)
@@ -293,5 +318,34 @@ func TestCaptureAllocatesTraceOnly(t *testing.T) {
 			t.Errorf("%v: Capture allocated %.1f MiB for %d records, want < %d MiB",
 				df, float64(got)/(1<<20), len(cap.Result.Trace.Accesses), limit>>20)
 		}
+	}
+}
+
+// TestCaptureSeedReachesOnlyPrunedTraces: a zero-pruned trace depends on
+// the input Capture draws from its seed; a trace-only capture does not
+// read the input at all, so its seed changes nothing.
+func TestCaptureSeedReachesOnlyPrunedTraces(t *testing.T) {
+	net := nn.LeNet(10)
+	net.InitWeights(1)
+	traceOf := func(cfg accel.Config, seed int64) string {
+		cap, err := Capture(net, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := cap.Result.Trace.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if traceOf(accel.Config{}, 1) != traceOf(accel.Config{}, 2) {
+		t.Error("unpruned traces differ between seeds")
+	}
+	pruned := accel.Config{ZeroPrune: true}
+	if traceOf(pruned, 1) == traceOf(pruned, 2) {
+		t.Error("zero-pruned traces do not depend on the seed")
+	}
+	if traceOf(pruned, 1) != traceOf(pruned, 1) {
+		t.Error("zero-pruned traces differ for one seed")
 	}
 }

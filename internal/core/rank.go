@@ -242,9 +242,14 @@ func RankCandidatesResult(ctx context.Context, rep *StructureReport, input nn.Sh
 			st.epochs++
 			sc.Epochs = st.epochs
 		}
-		sc.Accuracy = nn.Accuracy(st.net, test.X, test.Y, rc.TopK)
+		sc.Accuracy = st.tr.Accuracy(test.X, test.Y, rc.TopK)
 		if release {
 			states[i] = nil
+		} else {
+			// A survivor waits for the rest of its rung before it trains
+			// again; holding every candidate's scratch across that wait
+			// would keep the whole field's buffers live at once.
+			st.tr.ReleaseScratch()
 		}
 	}
 

@@ -268,6 +268,16 @@ func (tr *Trainer) ensureBufs() {
 	}
 }
 
+// ReleaseScratch drops the trainer's per-worker forward and backward
+// buffers; the next Epoch allocates them again. Parameters, momentum and
+// the results of later epochs are unaffected: the buffers carry nothing
+// from one step to the next. A caller that pauses a training — the
+// ranking's successive-halving rungs — releases them so a paused trainer
+// holds only its parameters and momentum.
+func (tr *Trainer) ReleaseScratch() {
+	tr.bufs = nil
+}
+
 // Epoch runs one pass over the dataset in shuffled minibatches and returns
 // the mean cross-entropy loss.
 func (tr *Trainer) Epoch(xs [][]float32, ys []int, rng *rand.Rand) float64 {
@@ -361,16 +371,38 @@ func (tr *Trainer) step(xs [][]float32, ys []int, batch []int) float64 {
 
 // Accuracy returns the top-k classification accuracy of n over the dataset.
 func Accuracy(n *Network, xs [][]float32, ys []int, k int) float64 {
+	return accuracy(n, xs, ys, k, nil)
+}
+
+// Accuracy returns the top-k classification accuracy of the trained
+// network over the dataset, evaluated on the trainer's own per-worker
+// buffers instead of freshly allocated ones.
+func (tr *Trainer) Accuracy(xs [][]float32, ys []int, k int) float64 {
+	tr.ensureBufs()
+	return accuracy(tr.Net, xs, ys, k, tr.bufs[:tr.Workers])
+}
+
+// accuracy evaluates the samples on one state per worker: bufs' states
+// when given, else new ones.
+func accuracy(n *Network, xs [][]float32, ys []int, k int, bufs []*trainBuf) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	workers := tensor.Workers()
+	if bufs != nil {
+		workers = len(bufs)
+	}
 	if workers > len(xs) {
 		workers = len(xs)
 	}
 	hits := make([]int, workers)
 	tensor.Parallel(workers, func(w int) {
-		st := n.newState()
+		var st *state
+		if bufs != nil {
+			st = bufs[w].st
+		} else {
+			st = n.newState()
+		}
 		// Per-worker top-k scratch: the ranking loop evaluates thousands of
 		// samples and must not allocate per sample.
 		idxBuf := make([]int, 0, k)

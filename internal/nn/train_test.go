@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -142,5 +143,44 @@ func TestClipNormBoundsUpdates(t *testing.T) {
 	}
 	if diverged(0.5) {
 		t.Fatal("clipped training diverged")
+	}
+}
+
+// TestReleaseScratchKeepsTrainingBitIdentical: a trainer whose scratch is
+// released between epochs, and evaluated on its own buffers, trains and
+// scores exactly like one that keeps its scratch and is evaluated on fresh
+// buffers — the buffers carry nothing from one step to the next.
+func TestReleaseScratchKeepsTrainingBitIdentical(t *testing.T) {
+	ds := dataset.Synthetic(3, 12, 1, 28, 28, 5)
+	train, test := ds.Split(27)
+	nets := [2]*Network{LeNet(3), LeNet(3)}
+	var trs [2]*Trainer
+	for i, n := range nets {
+		n.InitWeights(6)
+		trs[i] = NewTrainer(n)
+		trs[i].BatchSize, trs[i].Workers, trs[i].ClipNorm = 4, 2, 1
+	}
+	rngs := [2]*rand.Rand{rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))}
+	for e := 0; e < 3; e++ {
+		keep := trs[0].Epoch(train.X, train.Y, rngs[0])
+		released := trs[1].Epoch(train.X, train.Y, rngs[1])
+		if keep != released {
+			t.Fatalf("epoch %d: loss %v with kept scratch, %v with released", e, keep, released)
+		}
+		if a, b := Accuracy(nets[0], test.X, test.Y, 1), trs[1].Accuracy(test.X, test.Y, 1); a != b {
+			t.Fatalf("epoch %d: accuracy %v on fresh buffers, %v on the trainer's", e, a, b)
+		}
+		trs[1].ReleaseScratch()
+	}
+	for i, p := range nets[0].Params {
+		if p == nil {
+			continue
+		}
+		q := nets[1].Params[i]
+		for j := range p.W.Data {
+			if math.Float32bits(p.W.Data[j]) != math.Float32bits(q.W.Data[j]) {
+				t.Fatalf("layer %d weight %d: %v with kept scratch, %v with released", i, j, p.W.Data[j], q.W.Data[j])
+			}
+		}
 	}
 }

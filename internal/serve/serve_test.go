@@ -835,3 +835,18 @@ func TestSimulateWeightAttack(t *testing.T) {
 		t.Fatalf("pooled victim: code %d weights_error %q", code, ar.WeightsError)
 	}
 }
+
+// TestSimulateWeightsZeroBiasVictim: the zoo's victims have zero biases,
+// which leave w/b undefined. The weight attack refuses such a victim before
+// its first query and the job reports why, instead of spending the query
+// budget and failing to encode an infinite ratio error (a 500).
+func TestSimulateWeightsZeroBiasVictim(t *testing.T) {
+	_, ts := newTestServer(t, Config{JobTimeout: time.Minute})
+	ar, code := postSimulate(t, ts, `{"model":"squeezenet","depth_div":8,"weights":true,"max_structures":5}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200", code)
+	}
+	if ar.Weights != nil || !strings.Contains(ar.WeightsError, "zero bias") {
+		t.Fatalf("weights %+v, weights_error %q; want a zero-bias weights_error", ar.Weights, ar.WeightsError)
+	}
+}

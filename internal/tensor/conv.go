@@ -38,37 +38,49 @@ func (c Conv2D) OutDims(h, w int) (oh, ow int) {
 	return ConvOutDim(h, c.F, c.S, c.P), ConvOutDim(w, c.F, c.S, c.P)
 }
 
+// validCols returns the output columns [lo, hi) whose kernel column kx
+// lands inside an input row of width w; the others read padding.
+func (c Conv2D) validCols(kx, w, ow int) (lo, hi int) {
+	if n := c.P - kx; n > 0 {
+		lo = (n + c.S - 1) / c.S
+	}
+	if n := w - 1 + c.P - kx; n >= 0 {
+		hi = min(n/c.S+1, ow)
+	}
+	return min(lo, hi), hi
+}
+
 // Im2col expands an input image (InC×H×W, flat) into a column matrix of
 // shape (InC·F·F) × (OH·OW) so convolution becomes a single GEMM. cols must
-// have capacity InC·F·F·OH·OW.
+// have capacity InC·F·F·OH·OW. Each output row is a zero-filled padding
+// prefix and suffix around one span read from an input row, a plain copy
+// at stride 1.
 func (c Conv2D) Im2col(in []float32, h, w int, cols []float32) (oh, ow int) {
 	oh, ow = c.OutDims(h, w)
 	rowLen := oh * ow
 	for ch := 0; ch < c.InC; ch++ {
-		chBase := ch * h * w
+		plane := in[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < c.F; ky++ {
 			for kx := 0; kx < c.F; kx++ {
 				r := (ch*c.F+ky)*c.F + kx
 				dst := cols[r*rowLen : (r+1)*rowLen]
-				di := 0
+				lo, hi := c.validCols(kx, w, ow)
 				for oy := 0; oy < oh; oy++ {
+					row := dst[oy*ow : (oy+1)*ow]
 					iy := oy*c.S - c.P + ky
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[di] = 0
-							di++
-						}
+					if iy < 0 || iy >= h || lo == hi {
+						clear(row)
 						continue
 					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.S - c.P + kx
-						if ix < 0 || ix >= w {
-							dst[di] = 0
-						} else {
-							dst[di] = in[rowBase+ix]
-						}
-						di++
+					clear(row[:lo])
+					clear(row[hi:])
+					src := plane[iy*w+lo*c.S-c.P+kx:]
+					if c.S == 1 {
+						copy(row[lo:hi], src)
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						row[ox] = src[(ox-lo)*c.S]
 					}
 				}
 			}
@@ -80,30 +92,37 @@ func (c Conv2D) Im2col(in []float32, h, w int, cols []float32) (oh, ow int) {
 // Col2im scatters a column-matrix gradient back onto an input-shaped
 // gradient buffer, accumulating where kernel windows overlap. It is the
 // adjoint of Im2col. dIn must be pre-zeroed by the caller if accumulation
-// from scratch is desired.
+// from scratch is desired. Every input element receives its terms in the
+// same (ky, kx, oy, ox) order as a loop over all columns would give it.
 func (c Conv2D) Col2im(cols []float32, h, w int, dIn []float32) {
 	oh, ow := c.OutDims(h, w)
 	rowLen := oh * ow
 	for ch := 0; ch < c.InC; ch++ {
-		chBase := ch * h * w
+		plane := dIn[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < c.F; ky++ {
 			for kx := 0; kx < c.F; kx++ {
 				r := (ch*c.F+ky)*c.F + kx
 				src := cols[r*rowLen : (r+1)*rowLen]
-				si := 0
+				lo, hi := c.validCols(kx, w, ow)
+				if lo == hi {
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*c.S - c.P + ky
 					if iy < 0 || iy >= h {
-						si += ow
 						continue
 					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.S - c.P + kx
-						if ix >= 0 && ix < w {
-							dIn[rowBase+ix] += src[si]
+					row := src[oy*ow+lo : oy*ow+hi]
+					dst := plane[iy*w+lo*c.S-c.P+kx:]
+					if c.S == 1 {
+						dst = dst[:len(row)]
+						for j, v := range row {
+							dst[j] += v
 						}
-						si++
+						continue
+					}
+					for j, v := range row {
+						dst[j*c.S] += v
 					}
 				}
 			}

@@ -168,12 +168,8 @@ func skinnyAccKern(t *gemmTask, ji int) {
 		arow := t.a[i*k : i*k+k]
 		crow := t.c[i*n+jc : i*n+jc+nc]
 		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := t.b[p*n+jc : p*n+jc+nc]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(crow, t.b[p*n+jc:p*n+jc+nc], av)
 			}
 		}
 	}
@@ -203,12 +199,8 @@ func gemmPanel(a, packed, c []float32, ic, mc, pc, kc, jc, nc, k, n int) {
 		arow := a[i*k+pc : i*k+pc+kc]
 		crow := c[i*n+jc : i*n+jc+nc]
 		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := packed[p*nc : p*nc+nc]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(crow, packed[p*nc:p*nc+nc], av)
 			}
 		}
 	}
@@ -222,12 +214,8 @@ func gemmRows(a, b, c []float32, lo, hi, k, n int) {
 		arow := a[i*k : i*k+k]
 		crow := c[i*n : i*n+n]
 		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : p*n+n]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(crow, b[p*n:p*n+n], av)
 			}
 		}
 	}
@@ -287,12 +275,8 @@ func skinnyTransAKern(t *gemmTask, ji int) {
 		arow := t.a[p*m : p*m+m]
 		brow := t.b[p*n+jc : p*n+jc+nc]
 		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := t.c[i*n+jc : i*n+jc+nc]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(t.c[i*n+jc:i*n+jc+nc], brow, av)
 			}
 		}
 	}
@@ -307,12 +291,8 @@ func panelTransAKern(t *gemmTask, bi int) {
 		apart := t.a[(t.pc+p)*m+ic : (t.pc+p)*m+ic+mcc]
 		brow := t.packed[p*t.nc : p*t.nc+t.nc]
 		for ii, av := range apart {
-			if av == 0 {
-				continue
-			}
-			crow := t.c[(ic+ii)*n+t.jc : (ic+ii)*n+t.jc+t.nc]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(t.c[(ic+ii)*n+t.jc:(ic+ii)*n+t.jc+t.nc], brow, av)
 			}
 		}
 	}
@@ -324,12 +304,8 @@ func gemmTransASerial(a, b, c []float32, m, k, n int) {
 		arow := a[p*m : p*m+m]
 		brow := b[p*n : p*n+n]
 		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := c[i*n : i*n+n]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(c[i*n:i*n+n], brow, av)
 			}
 		}
 	}
@@ -402,11 +378,7 @@ func skinnyTransBKern(t *gemmTask, ji int) {
 	nc := min(t.width, t.n-jc)
 	k, n := t.k, t.n
 	for i := 0; i < t.m; i++ {
-		arow := t.a[i*k : i*k+k]
-		crow := t.c[i*n+jc : i*n+jc+nc]
-		for j := 0; j < nc; j++ {
-			crow[j] += dot(arow, t.b[(jc+j)*k:(jc+j)*k+k])
-		}
+		dotRows(t.a[i*k:i*k+k], t.b[jc*k:(jc+nc)*k], t.c[i*n+jc:i*n+jc+nc])
 	}
 }
 
@@ -415,38 +387,96 @@ func panelTransBKern(t *gemmTask, bi int) {
 	ic := bi * t.mc
 	k, n := t.k, t.n
 	for i := ic; i < min(ic+t.mc, t.m); i++ {
-		arow := t.a[i*k+t.pc : i*k+t.pc+t.kc]
-		crow := t.c[i*n+t.jc : i*n+t.jc+t.nc]
-		for j := 0; j < t.nc; j++ {
-			crow[j] += dot(arow, t.packed[j*t.kc:j*t.kc+t.kc])
-		}
+		dotRows(t.a[i*k+t.pc:i*k+t.pc+t.kc], t.packed[:t.nc*t.kc], t.c[i*n+t.jc:i*n+t.jc+t.nc])
 	}
 }
 
 // gemmTransBRows is the unblocked A*Bᵀ kernel over C rows [lo,hi).
 func gemmTransBRows(a, b, c []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
-		arow := a[i*k : i*k+k]
-		crow := c[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			crow[j] += dot(arow, b[j*k:j*k+k])
-		}
+		dotRows(a[i*k:i*k+k], b[:n*k], c[i*n:i*n+n])
+	}
+}
+
+// The inner kernels below change how an output element's sum is computed —
+// unrolled, with shared loads and without bounds checks — but never which
+// products it adds or in what order, so their results are bit-identical to
+// the plain one-element-at-a-time loops (kept as test references).
+
+// axpy adds a·x to y: y[j] += a*x[j] for every j < len(x). The outputs are
+// independent, so unrolling over them leaves each one a single multiply
+// and add. After the reslice the loop's len(y) test always holds; stating
+// it lets the compiler drop the bounds checks inside the loop.
+func axpy(y, x []float32, a float32) {
+	y = y[:len(x)]
+	for len(x) >= 8 && len(y) >= 8 {
+		y[0] += a * x[0]
+		y[1] += a * x[1]
+		y[2] += a * x[2]
+		y[3] += a * x[3]
+		y[4] += a * x[4]
+		y[5] += a * x[5]
+		y[6] += a * x[6]
+		y[7] += a * x[7]
+		y, x = y[8:], x[8:]
+	}
+	for j, v := range x {
+		y[j] += a * v
 	}
 }
 
 // dot returns the inner product of two equal-length float32 vectors, using
 // four accumulators so the multiplies pipeline.
 func dot(x, y []float32) float32 {
+	y = y[:len(x)]
 	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+	for len(x) >= 4 && len(y) >= 4 {
+		s0 += x[0] * y[0]
+		s1 += x[1] * y[1]
+		s2 += x[2] * y[2]
+		s3 += x[3] * y[3]
+		x, y = x[4:], y[4:]
 	}
-	for ; i < len(x); i++ {
-		s0 += x[i] * y[i]
+	for i, v := range x {
+		s0 += v * y[i]
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dot2 returns dot(x, y) and dot(x, z), loading x once for both.
+func dot2(x, y, z []float32) (float32, float32) {
+	y, z = y[:len(x)], z[:len(x)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float32
+	for len(x) >= 4 && len(y) >= 4 && len(z) >= 4 {
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		s0 += x0 * y[0]
+		t0 += x0 * z[0]
+		s1 += x1 * y[1]
+		t1 += x1 * z[1]
+		s2 += x2 * y[2]
+		t2 += x2 * z[2]
+		s3 += x3 * y[3]
+		t3 += x3 * z[3]
+		x, y, z = x[4:], y[4:], z[4:]
+	}
+	for i, v := range x {
+		s0 += v * y[i]
+		t0 += v * z[i]
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+}
+
+// dotRows adds dot(x, row j of b) to c[j] for every j < len(c), where b
+// holds len(c) rows of len(x) floats, two rows at a time.
+func dotRows(x, b, c []float32) {
+	k := len(x)
+	j := 0
+	for ; j+2 <= len(c); j += 2 {
+		d0, d1 := dot2(x, b[j*k:j*k+k], b[(j+1)*k:(j+2)*k])
+		c[j] += d0
+		c[j+1] += d1
+	}
+	if j < len(c) {
+		c[j] += dot(x, b[j*k:j*k+k])
+	}
 }

@@ -33,19 +33,32 @@ func (p Pool2D) MaxForward(in []float32, c, h, w int, out []float32, argmax []in
 				x0 := ox*p.S - p.P
 				best := float32(math.Inf(-1))
 				bestIdx := -1
-				for ky := 0; ky < p.F; ky++ {
-					iy := y0 + ky
-					if iy < 0 || iy >= h {
-						continue
+				if y0 >= 0 && y0+p.F <= h && x0 >= 0 && x0+p.F <= w {
+					// The window lies wholly inside the input: the same
+					// scan, without the edge tests.
+					for iy := y0; iy < y0+p.F; iy++ {
+						at := base + iy*w + x0
+						for kx, v := range in[at : at+p.F] {
+							if v > best {
+								best, bestIdx = v, at+kx
+							}
+						}
 					}
-					for kx := 0; kx < p.F; kx++ {
-						ix := x0 + kx
-						if ix < 0 || ix >= w {
+				} else {
+					for ky := 0; ky < p.F; ky++ {
+						iy := y0 + ky
+						if iy < 0 || iy >= h {
 							continue
 						}
-						v := in[base+iy*w+ix]
-						if v > best {
-							best, bestIdx = v, base+iy*w+ix
+						for kx := 0; kx < p.F; kx++ {
+							ix := x0 + kx
+							if ix < 0 || ix >= w {
+								continue
+							}
+							v := in[base+iy*w+ix]
+							if v > best {
+								best, bestIdx = v, base+iy*w+ix
+							}
 						}
 					}
 				}

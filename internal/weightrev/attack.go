@@ -170,6 +170,19 @@ func sortFloats(x []float64) {
 	}
 }
 
+// CornerReachable reports whether RecoverFilterRatios can attack a layer
+// of this geometry: an unpooled layer without padding, so that a probe
+// pixel at the input's corner reaches one weight of a filter in isolation.
+func (g Geometry) CornerReachable() error {
+	if g.Pool != nn.PoolNone {
+		return fmt.Errorf("weightrev: RecoverFilterRatios handles unpooled layers; use RecoverPooled* for fused pooling")
+	}
+	if g.P != 0 {
+		return fmt.Errorf("weightrev: corner iteration requires P=0 (padding makes corner weights unreachable in isolation)")
+	}
+	return nil
+}
+
 // RecoverFilterRatios runs Algorithm 2 for one output channel of an
 // unpooled conv layer with zero padding (P = 0), recovering w/b for every
 // weight. Probe pixels iterate in raster order from the corner; at pixel
@@ -186,11 +199,8 @@ func (a *Attacker) RecoverFilterRatios(d int) (*FilterRatios, error) {
 // stops within a single-weight boundary.
 func (a *Attacker) RecoverFilterRatiosCtx(ctx context.Context, d int) (*FilterRatios, error) {
 	g := a.G
-	if g.Pool != nn.PoolNone {
-		return nil, fmt.Errorf("weightrev: RecoverFilterRatios handles unpooled layers; use RecoverPooled* for fused pooling")
-	}
-	if g.P != 0 {
-		return nil, fmt.Errorf("weightrev: corner iteration requires P=0 (padding makes corner weights unreachable in isolation)")
+	if err := g.CornerReachable(); err != nil {
+		return nil, err
 	}
 	res := &FilterRatios{Channel: d}
 	res.Ratio = make([][][]float64, g.In.C)

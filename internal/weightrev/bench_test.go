@@ -33,3 +33,35 @@ func benchOracleQuery(b *testing.B, fullRun bool) {
 
 func BenchmarkOracleQuery_Full(b *testing.B)   { benchOracleQuery(b, true) }
 func BenchmarkOracleQuery_Prefix(b *testing.B) { benchOracleQuery(b, false) }
+
+// fig7Oracle builds the analytic oracle over a Figure 7 style victim:
+// AlexNet's CONV1 geometry (11×11×3, stride 4) on a 227×227 input.
+func fig7Oracle(tb testing.TB) *FastOracle {
+	spec := nn.LayerSpec{Name: "conv1", Kind: nn.KindConv, OutC: 4, F: 11, S: 4, ReLU: true}
+	net := nn.MustNew("conv1", nn.Shape{C: 3, H: 227, W: 227}, []nn.LayerSpec{spec})
+	net.InitWeights(5)
+	for i := range net.Params[0].B.Data {
+		net.Params[0].B.Data[i] = 0.05
+	}
+	o, err := NewFastOracle(net, accel.Config{}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return o
+}
+
+// BenchmarkFastOracleQuery measures one analytic CountChannel query, the
+// oracle the weight attack runs, at a pixel that reaches nine conv
+// outputs.
+func BenchmarkFastOracleQuery(b *testing.B) {
+	o := fig7Oracle(b)
+	pixels := []Pixel{{C: 1, Y: 100, X: 120, V: 0.5}}
+	want := o.CountChannel(2, pixels)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := o.CountChannel(2, pixels); got != want {
+			b.Fatalf("count changed: %d vs %d", got, want)
+		}
+	}
+}

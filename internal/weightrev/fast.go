@@ -163,74 +163,89 @@ func (o *FastOracle) rebuildBase() {
 	}
 }
 
-// affectedOut lists the output (pooled) positions whose value can differ
-// from the base state for the given sparse input.
-func (o *FastOracle) affectedOut(pixels []Pixel) map[[2]int]bool {
-	spec := o.spec
-	conv := map[[2]int]bool{}
-	span := func(p, w int) (int, int) {
-		// conv positions m with 0 <= p - (m*S - P) < F
-		lo := (p + spec.P - spec.F + 1 + spec.S - 1) / spec.S // ceil
-		if lo < 0 {
-			lo = 0
-		}
-		hi := (p + spec.P) / spec.S
-		if hi > w-1 {
-			hi = w - 1
-		}
-		return lo, hi
+// span is an inclusive range of output indices; it is empty when lo > hi.
+type span struct{ lo, hi int }
+
+// windowSpan returns the outputs, among w, of a window of width f, stride s
+// and padding pad whose window covers input index p: the m with
+// 0 <= p - (m*s - pad) < f.
+func windowSpan(p, f, s, pad, w int) span {
+	lo := (p + pad - f + 1 + s - 1) / s // ceil; a negative bound clamps to 0 either way
+	if lo < 0 {
+		lo = 0
 	}
-	for _, p := range pixels {
-		y0, y1 := span(p.Y, o.conv.H)
-		x0, x1 := span(p.X, o.conv.W)
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				conv[[2]int{cy, cx}] = true
-			}
-		}
+	hi := (p + pad) / s
+	if hi > w-1 {
+		hi = w - 1
 	}
-	if spec.Pool == nn.PoolNone {
-		return conv
-	}
-	pooled := map[[2]int]bool{}
-	pspan := func(p, w int) (int, int) {
-		lo := (p + spec.PoolP - spec.PoolF + 1 + spec.PoolS - 1) / spec.PoolS
-		if lo < 0 {
-			lo = 0
-		}
-		hi := (p + spec.PoolP) / spec.PoolS
-		if hi > w-1 {
-			hi = w - 1
-		}
-		return lo, hi
-	}
-	for pos := range conv {
-		y0, y1 := pspan(pos[0], o.out.H)
-		x0, x1 := pspan(pos[1], o.out.W)
-		for py := y0; py <= y1; py++ {
-			for px := x0; px <= x1; px++ {
-				pooled[[2]int{py, px}] = true
-			}
-		}
-	}
-	return pooled
+	return span{lo, hi}
 }
 
-// CountChannel returns the non-zero output count of channel d.
+// affected returns the rectangle of output (pooled) positions whose value
+// a probe pixel can move away from the base state. A pixel reaches a
+// rectangle of conv positions, and since pooling windows are monotone in
+// position, the pooled outputs over that rectangle form a rectangle too:
+// from the first window covering its top-left corner to the last covering
+// its bottom-right.
+func (o *FastOracle) affected(p Pixel) (ys, xs span) {
+	spec := o.spec
+	ys = windowSpan(p.Y, spec.F, spec.S, spec.P, o.conv.H)
+	xs = windowSpan(p.X, spec.F, spec.S, spec.P, o.conv.W)
+	if spec.Pool == nn.PoolNone || ys.lo > ys.hi || xs.lo > xs.hi {
+		return ys, xs
+	}
+	ys = span{
+		windowSpan(ys.lo, spec.PoolF, spec.PoolS, spec.PoolP, o.out.H).lo,
+		windowSpan(ys.hi, spec.PoolF, spec.PoolS, spec.PoolP, o.out.H).hi,
+	}
+	xs = span{
+		windowSpan(xs.lo, spec.PoolF, spec.PoolS, spec.PoolP, o.out.W).lo,
+		windowSpan(xs.hi, spec.PoolF, spec.PoolS, spec.PoolP, o.out.W).hi,
+	}
+	return ys, xs
+}
+
+// affectedBefore reports whether output (y, x) lies in the affected
+// rectangle of one of pixels, so each position is counted once however
+// many probe pixels reach it.
+func (o *FastOracle) affectedBefore(pixels []Pixel, y, x int) bool {
+	for _, p := range pixels {
+		ys, xs := o.affected(p)
+		if ys.lo <= y && y <= ys.hi && xs.lo <= x && x <= xs.hi {
+			return true
+		}
+	}
+	return false
+}
+
+// CountChannel returns the non-zero output count of channel d. It
+// allocates nothing.
 func (o *FastOracle) CountChannel(d int, pixels []Pixel) int {
 	o.queries.Add(1)
-	return o.countChannel(d, pixels, o.affectedOut(pixels))
+	return o.countChannel(d, pixels)
 }
 
-func (o *FastOracle) countChannel(d int, pixels []Pixel, affected map[[2]int]bool) int {
+// countChannel starts from the all-zero input's count and adds ±1 for
+// every affected position whose zero-ness the probe flips. The sum does
+// not depend on the order the positions are visited in.
+func (o *FastOracle) countChannel(d int, pixels []Pixel) int {
 	n := o.baseCount[d]
-	for pos := range affected {
-		now := o.pooledValue(d, pos[0], pos[1], pixels) != 0
-		was := o.baseNZ[d][pos[0]*o.out.W+pos[1]]
-		if now && !was {
-			n++
-		} else if !now && was {
-			n--
+	base := o.baseNZ[d]
+	for i, p := range pixels {
+		ys, xs := o.affected(p)
+		for y := ys.lo; y <= ys.hi; y++ {
+			for x := xs.lo; x <= xs.hi; x++ {
+				if i > 0 && o.affectedBefore(pixels[:i], y, x) {
+					continue
+				}
+				now := o.pooledValue(d, y, x, pixels) != 0
+				was := base[y*o.out.W+x]
+				if now && !was {
+					n++
+				} else if !now && was {
+					n--
+				}
+			}
 		}
 	}
 	return n
@@ -239,10 +254,9 @@ func (o *FastOracle) countChannel(d int, pixels []Pixel, affected map[[2]int]boo
 // Counts returns all channels' non-zero counts.
 func (o *FastOracle) Counts(pixels []Pixel) []int {
 	o.queries.Add(1)
-	affected := o.affectedOut(pixels)
 	counts := make([]int, o.out.C)
 	for d := range counts {
-		counts[d] = o.countChannel(d, pixels, affected)
+		counts[d] = o.countChannel(d, pixels)
 	}
 	return counts
 }

@@ -51,6 +51,11 @@ func TestFastOracleMatchesTraceOracle(t *testing.T) {
 		{"avgpool", convLayer(t, nn.Shape{C: 1, H: 12, W: 12}, 2, 3, 1, 0, nn.PoolAvg, 2, 2, -0.06, 0, 4), accel.Config{}},
 		{"avgpool-eq11", convLayer(t, nn.Shape{C: 1, H: 12, W: 12}, 2, 3, 1, 0, nn.PoolAvg, 2, 2, -0.06, 0, 5), accel.Config{PoolBeforeActivation: true}},
 		{"threshold", convLayer(t, nn.Shape{C: 1, H: 12, W: 12}, 2, 3, 1, 0, nn.PoolNone, 0, 0, 0.04, 0, 6), accel.Config{Threshold: 0.03}},
+		// The Figure 7 victim's geometry (PrunedConv1: F=11, S=4) on a
+		// smaller input, plain and with AlexNet's 3/2 max pooling.
+		{"conv1", convLayer(t, nn.Shape{C: 3, H: 35, W: 35}, 3, 11, 4, 0, nn.PoolNone, 0, 0, 0.05, 0.25, 10), accel.Config{}},
+		{"conv1-maxpool", convLayer(t, nn.Shape{C: 3, H: 39, W: 39}, 2, 11, 4, 0, nn.PoolMax, 3, 2, -0.05, 0.25, 11), accel.Config{}},
+		{"conv1-padded-avgpool", convLayer(t, nn.Shape{C: 2, H: 30, W: 30}, 2, 11, 4, 2, nn.PoolAvg, 3, 2, -0.04, 0.1, 12), accel.Config{}},
 	}
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range cases {
@@ -63,13 +68,26 @@ func TestFastOracleMatchesTraceOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := tc.net.Input
-		for q := 0; q < 25; q++ {
+		s := tc.net.Specs[0].S
+		for q := 0; q < 40; q++ {
 			var pix []Pixel
 			for n := rng.Intn(3); n >= 0; n-- {
 				pix = append(pix, Pixel{
 					C: rng.Intn(in.C), Y: rng.Intn(in.H), X: rng.Intn(in.W),
 					V: float32(rng.NormFloat64() * 2),
 				})
+			}
+			// Every other query adds a pixel that reaches outputs an
+			// earlier one reaches too: the same pixel again, or one a
+			// stride away in another channel. Each affected output must be
+			// counted once.
+			switch p := pix[0]; q % 4 {
+			case 1:
+				p.V = float32(rng.NormFloat64() * 2)
+				pix = append(pix, p)
+			case 3:
+				p.C, p.Y, p.X = rng.Intn(in.C), min(p.Y+s, in.H-1), min(p.X+1, in.W-1)
+				pix = append(pix, p)
 			}
 			want := trace.Counts(pix)
 			got := fast.Counts(pix)
@@ -78,6 +96,25 @@ func TestFastOracleMatchesTraceOracle(t *testing.T) {
 					t.Fatalf("%s query %d ch %d: fast %d, trace %d (pix %+v)", tc.name, q, d, got[d], want[d], pix)
 				}
 			}
+		}
+	}
+}
+
+// TestFastOracleCountChannelAllocatesNothing pins the analytic oracle's
+// query path to zero allocations, single and overlapping probe pixels
+// alike: the weight attack issues half a million queries per victim.
+func TestFastOracleCountChannelAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; pin runs in the non-race job")
+	}
+	o := fig7Oracle(t)
+	for _, pixels := range [][]Pixel{
+		{{C: 1, Y: 100, X: 120, V: 0.5}},
+		{{C: 0, Y: 0, X: 0, V: -2}},
+		{{C: 2, Y: 40, X: 40, V: 1}, {C: 0, Y: 44, X: 41, V: -1}, {C: 2, Y: 40, X: 40, V: 3}},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { o.CountChannel(3, pixels) }); allocs != 0 {
+			t.Errorf("CountChannel(%v) allocates %.1f objects per call, want 0", pixels, allocs)
 		}
 	}
 }
