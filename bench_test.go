@@ -161,14 +161,14 @@ func weightAttackVictim(in nn.Shape, outC, f int, seed int64) *nn.Network {
 }
 
 // benchWeightAttack runs the full §4 recovery (parallel per-filter fan-out
-// through core.RunWeightAttack) against a first-layer-geometry victim.
+// through core.RunWeightAttackOpts) against a first-layer-geometry victim.
 func benchWeightAttack(b *testing.B, in nn.Shape, outC, f int, seed int64) {
 	net := weightAttackVictim(in, outC, f, seed)
 	b.ReportAllocs()
 	var rep *core.WeightReport
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = core.RunWeightAttack(net, accel.Config{})
+		rep, err = core.RunWeightAttackOpts(context.Background(), net, accel.Config{}, core.WeightAttackConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -544,16 +544,16 @@ func BenchmarkPipeline_LeNet(b *testing.B) {
 	net.InitWeights(1)
 	var ranked int
 	for i := 0; i < b.N; i++ {
-		rep, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+		rep, err := core.RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, core.StructureAttackSpec{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if rep.TruthIndex < 0 {
 			b.Fatal("true structure lost")
 		}
-		scores := core.RankCandidates(rep, net.Input, core.RankConfig{
+		scores := core.RankCandidatesResult(context.Background(), rep, net.Input, core.RankConfig{
 			Classes: 3, PerClass: 12, Epochs: 3, DepthDiv: 1, Seed: 7, MaxCandidates: 8,
-		})
+		}).Scores
 		if len(scores) == 0 {
 			b.Fatal("no ranked candidates")
 		}
@@ -591,7 +591,7 @@ func rankBenchSetup(b *testing.B) {
 		net.InitWeights(1)
 		opt := structrev.DefaultOptions()
 		opt.TimingSpreadMax = 4.0
-		rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
+		rep, err := core.RunStructureAttackSpec(context.Background(), net, accel.Config{}, opt, 2, core.StructureAttackSpec{}, nil)
 		if err != nil {
 			rankBench.err = err
 			return

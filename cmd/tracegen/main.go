@@ -49,7 +49,7 @@ func main() {
 		log.Fatalf("tracegen: %v", err)
 	}
 
-	net, err := buildModel(*model, *classes, *depthDiv)
+	net, err := cnnrev.Model(*model, *classes, *depthDiv)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,30 +78,4 @@ func main() {
 	}
 	fmt.Printf("wrote %s: %s dataflow, %d records, %d block transfers (block %dB), last cycle %d\n",
 		*out, df, len(tr.Accesses), tr.Blocks(), tr.BlockBytes, tr.LastCycle())
-}
-
-func buildModel(model string, classes, depthDiv int) (*cnnrev.Network, error) {
-	if classes == 0 {
-		classes = 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
-	}
-	switch model {
-	case "lenet":
-		return cnnrev.LeNet(classes), nil
-	case "convnet":
-		return cnnrev.ConvNet(classes), nil
-	case "alexnet":
-		return cnnrev.AlexNet(classes, depthDiv), nil
-	case "squeezenet":
-		return cnnrev.SqueezeNet(classes, depthDiv), nil
-	case "vgg11":
-		return cnnrev.VGG11(classes, depthDiv), nil
-	case "nin":
-		return cnnrev.NiN(classes, depthDiv), nil
-	case "resnetmini":
-		return cnnrev.ResNetMini(classes, depthDiv), nil
-	}
-	return nil, fmt.Errorf("unknown model %q", model)
 }

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"cnnrev"
-	"cnnrev/internal/core"
 )
 
 func main() {
@@ -66,8 +65,8 @@ func main() {
 		*filters, *zeroFrac*100, mode)
 
 	start := time.Now()
-	rep, err := core.RunWeightAttackOpts(context.Background(), net, cnnrev.AccelConfig{},
-		core.WeightAttackConfig{Serial: !*parallel})
+	rep, err := cnnrev.RunWeightAttack(context.Background(), net, cnnrev.AccelConfig{},
+		cnnrev.WeightAttackConfig{Serial: !*parallel})
 	if err != nil {
 		log.Fatal(err)
 	}

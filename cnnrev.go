@@ -30,7 +30,6 @@ package cnnrev
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
@@ -52,12 +51,6 @@ type (
 	AccelConfig = accel.Config
 	// Dataflow selects the accelerator's data-reuse schedule.
 	Dataflow = accel.Dataflow
-	// DataflowClass is a detector verdict: one of the three schedules, or
-	// ambiguous when the trace does not discriminate.
-	DataflowClass = structrev.DataflowClass
-	// DataflowDetection is the full auto-detection outcome, including
-	// per-segment votes.
-	DataflowDetection = structrev.DataflowDetection
 	// Trace is an observed off-chip memory trace.
 	Trace = memtrace.Trace
 	// SolverOptions tunes the structure attack.
@@ -79,9 +72,9 @@ type (
 	RankResult = core.RankResult
 	// RungStat is one rung of a successive-halving tournament.
 	RungStat = core.RungStat
-	// ORAMConfig parameterizes the Path ORAM defense.
+	// ORAMConfig parameterizes the Path ORAM defense (DefenseConfig.ORAM).
 	ORAMConfig = oram.Config
-	// ORAMStats reports obfuscation cost.
+	// ORAMStats reports obfuscation cost (DefenseStats.ORAM).
 	ORAMStats = oram.Stats
 	// DefenseConfig selects a defensive trace transform and its knobs
 	// (internal/defense): dummy-traffic injection, bucket padding,
@@ -95,6 +88,12 @@ type (
 	// of the §3 pipeline (corruption, tolerant analysis, defensive trace
 	// transforms); the zero value reproduces the clean pipeline.
 	StructureAttackSpec = core.StructureAttackSpec
+	// TraceInput is what the adversary knows of the victim besides its
+	// trace: input shape, element size, class count and dataflow prior.
+	TraceInput = core.TraceInput
+	// WeightAttackConfig tunes the weight attack; the zero value recovers
+	// filters in parallel.
+	WeightAttackConfig = core.WeightAttackConfig
 )
 
 // DefenseKinds lists the recognized defense kind names.
@@ -103,7 +102,9 @@ var DefenseKinds = defense.Kinds
 // Model-zoo constructors: the paper's four study networks plus the
 // beyond-paper victims (VGG-11, Network-in-Network, a mini ResNet with
 // projection shortcuts). depthDiv scales channel counts (1 = paper size).
+// Model builds any of them by name, with the zoo's default class count.
 var (
+	Model      = nn.Model
 	LeNet      = nn.LeNet
 	ConvNet    = nn.ConvNet
 	AlexNet    = nn.AlexNet
@@ -150,14 +151,30 @@ func DefaultSolverOptions() SolverOptions { return structrev.DefaultOptions() }
 
 // RunStructureAttack runs a victim once on the simulated accelerator and
 // reverse engineers its structure from the trace (paper §3, Algorithm 1).
-func RunStructureAttack(net *Network, cfg AccelConfig, opt SolverOptions, seed int64) (*StructureReport, error) {
-	return core.RunStructureAttack(net, cfg, opt, seed)
+// spec adds the victim's defense and the probe's corruption; its zero value
+// is the clean pipeline. If ctx expires during the candidate enumeration,
+// the report carries the structures found so far with Partial set,
+// alongside the context error; past opt.MaxStructures it carries the first
+// MaxStructures structures alongside the cap error.
+func RunStructureAttack(ctx context.Context, net *Network, cfg AccelConfig, opt SolverOptions, seed int64, spec StructureAttackSpec) (*StructureReport, error) {
+	return core.RunStructureAttackSpec(ctx, net, cfg, opt, seed, spec, nil)
+}
+
+// AttackTrace reverse engineers candidate structures from a recorded trace
+// (e.g. one written by cmd/tracegen), given what the adversary knows of the
+// victim: input shape, element size and classifier width. It runs the same
+// pipeline as RunStructureAttack after the capture; TruthIndex is -1.
+func AttackTrace(ctx context.Context, tr *Trace, in TraceInput, opt SolverOptions, spec StructureAttackSpec) (*StructureReport, error) {
+	return core.AttackTrace(ctx, tr, in, opt, spec, nil)
 }
 
 // RankCandidates short-trains recovered candidates on a synthetic dataset
-// and ranks them by accuracy (the paper's Figures 4-5 methodology).
-func RankCandidates(rep *StructureReport, input Shape, rc RankConfig) []CandidateScore {
-	return core.RankCandidates(rep, input, rc)
+// and ranks them by accuracy (the paper's Figures 4-5 methodology). With
+// RankConfig.Halving set it runs the successive-halving tournament.
+// Cancelled candidates carry a NaN accuracy and the context error, sorted
+// after every real score.
+func RankCandidates(ctx context.Context, rep *StructureReport, input Shape, rc RankConfig) *RankResult {
+	return core.RankCandidatesResult(ctx, rep, input, rc)
 }
 
 // Materialize rebuilds a trainable network from a recovered candidate.
@@ -166,62 +183,10 @@ func Materialize(rep *StructureReport, idx int, input Shape, classes, depthDiv i
 }
 
 // RunWeightAttack recovers weight/bias ratios of a victim's first conv
-// layer through the zero-pruning side channel (paper §4, Algorithm 2).
-func RunWeightAttack(net *Network, cfg AccelConfig) (*WeightReport, error) {
-	return core.RunWeightAttack(net, cfg)
-}
-
-// RunStructureAttackCtx is RunStructureAttack with cooperative
-// cancellation: on context expiry it returns the partial report found so
-// far (Partial set, structures a deterministic prefix of the full
-// enumeration) alongside the context error. cmd/revcnnd serves this.
-func RunStructureAttackCtx(ctx context.Context, net *Network, cfg AccelConfig, opt SolverOptions, seed int64) (*StructureReport, error) {
-	return core.RunStructureAttackCtx(ctx, net, cfg, opt, seed, nil)
-}
-
-// RankCandidatesCtx is RankCandidates with cooperative cancellation at
-// candidate and epoch granularity; cancelled candidates carry a NaN
-// accuracy and the context error, sorted after every real score.
-func RankCandidatesCtx(ctx context.Context, rep *StructureReport, input Shape, rc RankConfig) []CandidateScore {
-	return core.RankCandidatesCtx(ctx, rep, input, rc)
-}
-
-// RankCandidatesResult is RankCandidatesCtx returning the full RankResult:
-// scores plus the rung schedule, total epoch work, and how many candidates
-// a MaxCandidates cap skipped. With RankConfig.Halving set it runs the
-// successive-halving tournament instead of the flat schedule.
-func RankCandidatesResult(ctx context.Context, rep *StructureReport, input Shape, rc RankConfig) *RankResult {
-	return core.RankCandidatesResult(ctx, rep, input, rc)
-}
-
-// RunWeightAttackCtx is RunWeightAttack with cooperative cancellation at
-// per-weight granularity.
-func RunWeightAttackCtx(ctx context.Context, net *Network, cfg AccelConfig) (*WeightReport, error) {
-	return core.RunWeightAttackCtx(ctx, net, cfg)
-}
-
-// RunStructureAttackOnTrace reverse engineers candidate structures directly
-// from a recorded trace (e.g. one written by cmd/tracegen), given the
-// adversary-known input shape and classifier width. Element size is assumed
-// to be 4 bytes (float32).
-func RunStructureAttackOnTrace(tr *Trace, input Shape, classes int) ([]Structure, error) {
-	a, err := structrev.Analyze(tr, input.Len()*4, 4)
-	if err != nil {
-		return nil, err
-	}
-	return structrev.Solve(a, input.W, input.C, classes, structrev.DefaultOptions())
-}
-
-// DetectTraceDataflow segments a recorded trace and classifies which
-// accelerator dataflow produced it from the read/write interleaving alone
-// (no knowledge of the victim beyond the input shape). Element size is
-// assumed to be 4 bytes (float32).
-func DetectTraceDataflow(tr *Trace, input Shape) (DataflowDetection, error) {
-	a, err := structrev.Analyze(tr, input.Len()*4, 4)
-	if err != nil {
-		return DataflowDetection{}, err
-	}
-	return structrev.DetectDataflow(tr, a, structrev.DetectOptions{}), nil
+// layer through the zero-pruning side channel (paper §4, Algorithm 2),
+// with cooperative cancellation at per-weight granularity.
+func RunWeightAttack(ctx context.Context, net *Network, cfg AccelConfig, wc WeightAttackConfig) (*WeightReport, error) {
+	return core.RunWeightAttackOpts(ctx, net, cfg, wc)
 }
 
 // CaptureTrace observes one inference and returns the trace. Unless cfg
@@ -235,62 +200,11 @@ func CaptureTrace(net *Network, cfg AccelConfig, seed int64) (*Trace, error) {
 	return cap.Result.Trace, nil
 }
 
-// CaptureServedTrace runs n back-to-back inferences with distinct random
-// inputs and returns the continuous trace a passive observer would record.
-func CaptureServedTrace(net *Network, cfg AccelConfig, n int, seed int64) (*Trace, error) {
-	sim, err := accel.New(net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	xs := make([][]float32, n)
-	for i := range xs {
-		xs[i] = make([]float32, net.Input.Len())
-		for j := range xs[i] {
-			xs[i][j] = float32(rng.NormFloat64())
-		}
-	}
-	_, tr, err := sim.RunMany(xs)
-	return tr, err
-}
-
-// AttackServedTrace analyzes a trace containing several back-to-back
-// inferences (a serving accelerator observed continuously), splits it into
-// inferences, and solves each slice. Element size is assumed 4 bytes.
-func AttackServedTrace(tr *Trace, input Shape, classes int) ([][]Structure, error) {
-	a, err := structrev.Analyze(tr, input.Len()*4, 4)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]Structure
-	for _, inf := range a.Inferences() {
-		structures, err := structrev.Solve(inf, input.W, input.C, classes, structrev.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, structures)
-	}
-	return out, nil
-}
-
-// ObfuscateTrace replays a trace through Path ORAM.
-func ObfuscateTrace(tr *Trace, cfg ORAMConfig) (*Trace, ORAMStats, error) {
-	return oram.Obfuscate(tr, cfg)
-}
-
 // DefendTrace applies a defensive trace transform (internal/defense) to a
-// captured trace and reports its measured cost. The zero config returns a
-// byte-identical copy.
+// captured trace and reports its measured cost; Kind "oram" replays it
+// through Path ORAM. The zero config returns a byte-identical copy.
 func DefendTrace(tr *Trace, cfg DefenseConfig) (*Trace, DefenseStats, error) {
 	return defense.Apply(tr, cfg)
-}
-
-// RunStructureAttackSpec is RunStructureAttackCtx with the hostile-probe
-// and defense spec: the captured trace passes through spec.Defense (the
-// victim's countermeasure) and then spec.Corrupt (the probe's noise)
-// before analysis.
-func RunStructureAttackSpec(ctx context.Context, net *Network, cfg AccelConfig, opt SolverOptions, seed int64, spec StructureAttackSpec) (*StructureReport, error) {
-	return core.RunStructureAttackSpec(ctx, net, cfg, opt, seed, spec, nil)
 }
 
 // WriteTrace serializes a trace; ReadTrace deserializes one.

@@ -2,6 +2,7 @@ package cnnrev
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -24,15 +25,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	structures, err := RunStructureAttackOnTrace(tr2, victim.Input, victim.NumClasses())
+	in := TraceInput{Input: victim.Input, ElemBytes: 4, Classes: victim.NumClasses()}
+	trep, err := AttackTrace(context.Background(), tr2, in, DefaultSolverOptions(), StructureAttackSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	structures := trep.Structures
 	if len(structures) == 0 {
 		t.Fatal("no structures from round-tripped trace")
 	}
 
-	rep, err := RunStructureAttack(victim, DefaultAccelConfig(), DefaultSolverOptions(), 2)
+	rep, err := RunStructureAttack(context.Background(), victim, DefaultAccelConfig(), DefaultSolverOptions(), 2, StructureAttackSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPIWeightAttack(t *testing.T) {
 	victim := PrunedConv1(4, 0.25, 5)
-	rep, err := RunWeightAttack(victim, AccelConfig{})
+	rep, err := RunWeightAttack(context.Background(), victim, AccelConfig{}, WeightAttackConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +75,15 @@ func TestPublicAPIORAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obf, stats, err := ObfuscateTrace(tr, ORAMConfig{Seed: 9})
+	obf, stats, err := DefendTrace(tr, DefenseConfig{Kind: "oram", Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Overhead() < 10 {
-		t.Fatalf("implausible ORAM overhead %v", stats.Overhead())
+	if stats.ORAM.Overhead() < 10 {
+		t.Fatalf("implausible ORAM overhead %v", stats.ORAM.Overhead())
 	}
-	if _, err := RunStructureAttackOnTrace(obf, victim.Input, 10); err == nil {
+	in := TraceInput{Input: victim.Input, ElemBytes: 4, Classes: 10}
+	if _, err := AttackTrace(context.Background(), obf, in, DefaultSolverOptions(), StructureAttackSpec{}); err == nil {
 		t.Fatal("attack should fail on obfuscated trace")
 	}
 }
@@ -88,27 +92,6 @@ func TestModelZooThroughFacade(t *testing.T) {
 	for _, n := range []*Network{LeNet(10), ConvNet(10), AlexNet(10, 32), SqueezeNet(10, 32)} {
 		if n.NumClasses() != 10 {
 			t.Fatalf("%s: %d classes", n.Name, n.NumClasses())
-		}
-	}
-}
-
-func TestServedTraceAttack(t *testing.T) {
-	victim := LeNet(10)
-	victim.InitWeights(1)
-	tr, err := CaptureServedTrace(victim, DefaultAccelConfig(), 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perInf, err := AttackServedTrace(tr, victim.Input, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(perInf) != 3 {
-		t.Fatalf("%d inferences, want 3", len(perInf))
-	}
-	for i, structures := range perInf {
-		if len(structures) == 0 {
-			t.Fatalf("inference %d: no candidates", i)
 		}
 	}
 }
@@ -155,7 +138,8 @@ func TestTraceAttackRejectsWrongInputShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Declaring a much larger input must fail the region matching.
-	if _, err := RunStructureAttackOnTrace(tr, Shape{C: 3, H: 224, W: 224}, 10); err == nil {
+	in := TraceInput{Input: Shape{C: 3, H: 224, W: 224}, ElemBytes: 4, Classes: 10}
+	if _, err := AttackTrace(context.Background(), tr, in, DefaultSolverOptions(), StructureAttackSpec{}); err == nil {
 		t.Fatal("expected input-shape mismatch error")
 	}
 }

@@ -1,6 +1,7 @@
 package cnnrev_test
 
 import (
+	"context"
 	"fmt"
 
 	"cnnrev"
@@ -11,7 +12,7 @@ import (
 func ExampleRunStructureAttack() {
 	victim := cnnrev.LeNet(10)
 	victim.InitWeights(1)
-	rep, err := cnnrev.RunStructureAttack(victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2)
+	rep, err := cnnrev.RunStructureAttack(context.Background(), victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2, cnnrev.StructureAttackSpec{})
 	if err != nil {
 		panic(err)
 	}
@@ -26,7 +27,7 @@ func ExampleRunStructureAttack() {
 // zero-pruning write-count side channel.
 func ExampleRunWeightAttack() {
 	victim := cnnrev.PrunedConv1(2, 0.25, 5)
-	rep, err := cnnrev.RunWeightAttack(victim, cnnrev.AccelConfig{})
+	rep, err := cnnrev.RunWeightAttack(context.Background(), victim, cnnrev.AccelConfig{}, cnnrev.WeightAttackConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -37,17 +38,18 @@ func ExampleRunWeightAttack() {
 	// zero weights misclassified: 0
 }
 
-// ExampleObfuscateTrace shows Path ORAM defeating the structure attack.
-func ExampleObfuscateTrace() {
+// ExampleDefendTrace shows Path ORAM defeating the structure attack.
+func ExampleDefendTrace() {
 	victim := cnnrev.LeNet(10)
 	victim.InitWeights(1)
 	tr, _ := cnnrev.CaptureTrace(victim, cnnrev.DefaultAccelConfig(), 2)
-	obf, stats, err := cnnrev.ObfuscateTrace(tr, cnnrev.ORAMConfig{Seed: 7})
+	obf, stats, err := cnnrev.DefendTrace(tr, cnnrev.DefenseConfig{Kind: "oram", Seed: 7})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("overhead exceeds 50x:", stats.Overhead() > 50)
-	_, attackErr := cnnrev.RunStructureAttackOnTrace(obf, victim.Input, 10)
+	fmt.Println("overhead exceeds 50x:", stats.ORAM.Overhead() > 50)
+	in := cnnrev.TraceInput{Input: victim.Input, ElemBytes: 4, Classes: 10}
+	_, attackErr := cnnrev.AttackTrace(context.Background(), obf, in, cnnrev.DefaultSolverOptions(), cnnrev.StructureAttackSpec{})
 	fmt.Println("attack defeated:", attackErr != nil)
 	// Output:
 	// overhead exceeds 50x: true

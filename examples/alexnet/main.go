@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -18,7 +19,7 @@ func main() {
 	victim.InitWeights(1)
 
 	start := time.Now()
-	rep, err := cnnrev.RunStructureAttack(victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2)
+	rep, err := cnnrev.RunStructureAttack(context.Background(), victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2, cnnrev.StructureAttackSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("victim accuracy: %.2f\n", victimAcc)
 
 	// Step 1: structure attack from one traced inference.
-	rep, err := cnnrev.RunStructureAttack(victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 3)
+	rep, err := cnnrev.RunStructureAttack(context.Background(), victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 3, cnnrev.StructureAttackSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,9 +51,9 @@ func main() {
 		len(rep.Structures), rep.TruthIndex >= 0)
 
 	// Step 2: rank candidates by short training and keep the best.
-	scores := cnnrev.RankCandidates(rep, victim.Input, cnnrev.RankConfig{
+	scores := cnnrev.RankCandidates(context.Background(), rep, victim.Input, cnnrev.RankConfig{
 		Classes: 4, PerClass: 25, Epochs: 3, DepthDiv: 1, Seed: 5,
-	})
+	}).Scores
 	best := scores[0]
 	fmt.Printf("best candidate after short training: #%d (acc %.2f, is victim structure: %v)\n",
 		best.Index, best.Accuracy, best.IsTruth)

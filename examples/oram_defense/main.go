@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,8 @@ func main() {
 	victim.InitWeights(1)
 
 	// Plain accelerator: the attack succeeds.
-	rep, err := cnnrev.RunStructureAttack(victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2)
+	ctx := context.Background()
+	rep, err := cnnrev.RunStructureAttack(ctx, victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2, cnnrev.StructureAttackSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,16 +33,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	obf, stats, err := cnnrev.ObfuscateTrace(tr, cnnrev.ORAMConfig{Seed: 7})
+	obf, stats, err := cnnrev.DefendTrace(tr, cnnrev.DefenseConfig{Kind: "oram", Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
+	o := stats.ORAM
 	fmt.Printf("with Path ORAM (Z=4, %d levels): %d logical -> %d physical block transfers (%.0fx)\n",
-		stats.Levels, stats.LogicalBlocks, stats.PhysicalBlocks, stats.Overhead())
+		o.Levels, o.LogicalBlocks, o.PhysicalBlocks, o.Overhead())
 
 	// The adversary sees uniformly random paths: no read-only filter
 	// regions, no read-after-write layer boundaries.
-	if _, err := cnnrev.RunStructureAttackOnTrace(obf, victim.Input, victim.NumClasses()); err != nil {
+	in := cnnrev.TraceInput{Input: victim.Input, ElemBytes: 4, Classes: victim.NumClasses()}
+	if _, err := cnnrev.AttackTrace(ctx, obf, in, cnnrev.DefaultSolverOptions(), cnnrev.StructureAttackSpec{}); err != nil {
 		fmt.Printf("structure attack on the obfuscated trace fails: %v\n", err)
 	} else {
 		fmt.Println("unexpected: attack still worked")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	victim.InitWeights(1)
 
 	// The adversary triggers one inference and records the off-chip trace.
-	rep, err := cnnrev.RunStructureAttack(victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2)
+	rep, err := cnnrev.RunStructureAttack(context.Background(), victim, cnnrev.DefaultAccelConfig(), cnnrev.DefaultSolverOptions(), 2, cnnrev.StructureAttackSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,9 +46,9 @@ func main() {
 
 	// Pick the best candidate the way the paper does: short-train each one.
 	fmt.Println("\nranking candidates by short training on substitute data...")
-	scores := cnnrev.RankCandidates(rep, victim.Input, cnnrev.RankConfig{
+	scores := cnnrev.RankCandidates(context.Background(), rep, victim.Input, cnnrev.RankConfig{
 		Classes: 3, PerClass: 10, Epochs: 2, DepthDiv: 1, Seed: 3, MaxCandidates: 8,
-	})
+	}).Scores
 	for i, s := range scores {
 		mark := ""
 		if s.IsTruth {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 
 	opt := cnnrev.DefaultSolverOptions()
 	opt.IdenticalModules = true // the paper's modular reduction: 329 -> 9
-	rep, err := cnnrev.RunStructureAttack(victim, cnnrev.DefaultAccelConfig(), opt, 2)
+	rep, err := cnnrev.RunStructureAttack(context.Background(), victim, cnnrev.DefaultAccelConfig(), opt, 2, cnnrev.StructureAttackSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

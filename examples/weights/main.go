@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -28,7 +29,7 @@ func main() {
 	// run cmd/weightrev for the full 96-filter Figure 7).
 	victim := cnnrev.PrunedConv1(8, 0.25, 42)
 	start := time.Now()
-	rep, err := cnnrev.RunWeightAttack(victim, cnnrev.AccelConfig{})
+	rep, err := cnnrev.RunWeightAttack(context.Background(), victim, cnnrev.AccelConfig{}, cnnrev.WeightAttackConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

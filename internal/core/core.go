@@ -66,7 +66,8 @@ type StructureReport struct {
 	// TruthIndex is the index of the candidate matching the victim (up to
 	// padding equivalence), or -1.
 	TruthIndex int
-	// Queries counts victim inferences used (the structure attack needs 1).
+	// TraceBytes is the off-chip traffic the analysis saw, after any
+	// defense and corruption.
 	TraceBytes uint64
 	// Partial marks a report whose enumeration was cut short by context
 	// cancellation: Structures is a deterministic prefix of the complete
@@ -131,23 +132,12 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunStructureAttack captures a trace of net and runs the full §3 pipeline.
-func RunStructureAttack(net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64) (*StructureReport, error) {
-	return RunStructureAttackCtx(context.Background(), net, cfg, opt, seed, nil)
-}
-
-// RunStructureAttackCtx is RunStructureAttack with cooperative cancellation
-// and optional stage observation. If ctx expires during the candidate
-// enumeration, the returned report carries the structures found so far with
-// Partial set, alongside ctx's error; cancellation before the solve stage
-// returns a nil report.
-func RunStructureAttackCtx(ctx context.Context, net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64, onStage StageFunc) (*StructureReport, error) {
-	return RunStructureAttackSpec(ctx, net, cfg, opt, seed, StructureAttackSpec{}, onStage)
-}
-
-// RunStructureAttackSpec is RunStructureAttackCtx with the hostile-probe
-// spec: it captures net's trace (the "capture" stage), attacks it with
-// AttackTrace, and scores the candidates against net's true structure.
+// RunStructureAttackSpec runs the §3 attack on a simulated victim: it
+// captures net's trace (the "capture" stage), attacks it with AttackTrace
+// under spec, and scores the candidates against net's true structure.
+// Cancellation noticed before the solve returns a nil report; a report cut
+// short by ctx or by opt.MaxStructures comes back with its error, as from
+// AttackTrace. onStage, when non-nil, observes each completed stage.
 func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -184,10 +174,15 @@ type TraceInput struct {
 // observed stage each: the spec's defense, then its corruption, then the
 // analysis (tolerant when corruption is enabled or spec.Tolerant is set),
 // dataflow detection and the solve. tr is never modified. The context is
-// checked after the defense and throughout the solve; if it expires during
-// the solve, the report carries the structures found so far with Partial
-// set, alongside ctx's error. The victim is unknown here, so TruthIndex is
-// -1.
+// checked after the defense and throughout the solve.
+//
+// Once the analysis succeeds, the report comes back even when the solve
+// fails, alongside its error. If ctx expires during the solve, Structures
+// is the deterministic prefix found so far and Partial is set. If the
+// enumeration passes opt.MaxStructures, Structures is the first
+// MaxStructures of the complete set, Partial stays false, and the error
+// wraps structrev.ErrTooManyStructures. The victim is unknown here, so
+// TruthIndex is -1.
 func AttackTrace(ctx context.Context, tr *memtrace.Trace, in TraceInput, opt structrev.Options, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
 	rep := &StructureReport{TruthIndex: -1, Dataflow: in.Dataflow.String()}
 	if spec.Defense.Enabled() {
@@ -228,14 +223,11 @@ func AttackTrace(ctx context.Context, tr *memtrace.Trace, in TraceInput, opt str
 	t0 = time.Now()
 	structures, serr := structrev.SolveCtx(ctx, a, in.Input.W, in.Input.C, in.Classes, opt)
 	onStage.done("solve", t0)
-	if serr != nil && !isCtxErr(serr) {
-		return nil, serr
-	}
 	rep.Analysis = a
 	rep.Structures = structures
 	rep.PerLayer = structrev.UniqueConfigs(a, structures)
 	rep.TraceBytes = tr.Blocks() * uint64(tr.BlockBytes)
-	rep.Partial = serr != nil
+	rep.Partial = isCtxErr(serr)
 	rep.Noise = a.Noise
 	return rep, serr
 }
@@ -439,22 +431,12 @@ type WeightAttackConfig struct {
 	Serial bool
 }
 
-// RunWeightAttack recovers w/b for every filter of the first layer of net
-// (which must be an unpooled, unpadded conv layer) through the zero-pruning
-// side channel, and scores the recovery against the true parameters.
-func RunWeightAttack(net *nn.Network, cfg accel.Config) (*WeightReport, error) {
-	return RunWeightAttackCtx(context.Background(), net, cfg)
-}
-
-// RunWeightAttackCtx is RunWeightAttack with cooperative cancellation: each
-// parallel per-filter recovery checks ctx between individual weight
-// searches, so a cancelled attack releases the worker pool within one
-// binary-search (single-weight) boundary.
-func RunWeightAttackCtx(ctx context.Context, net *nn.Network, cfg accel.Config) (*WeightReport, error) {
-	return RunWeightAttackOpts(ctx, net, cfg, WeightAttackConfig{})
-}
-
-// RunWeightAttackOpts is RunWeightAttackCtx with attack tuning options.
+// RunWeightAttackOpts recovers w/b for every filter of the first layer of
+// net (which must be an unpooled, unpadded conv layer) through the
+// zero-pruning side channel, and scores the recovery against the true
+// parameters. Each parallel per-filter recovery checks ctx between
+// individual weight searches, so a cancelled attack releases the worker
+// pool within one binary-search (single-weight) boundary.
 func RunWeightAttackOpts(ctx context.Context, net *nn.Network, cfg accel.Config, opts WeightAttackConfig) (*WeightReport, error) {
 	oracle, err := weightrev.NewFastOracle(net, cfg, 0)
 	if err != nil {

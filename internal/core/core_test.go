@@ -21,7 +21,7 @@ import (
 func TestStructureAttackLeNetEndToEnd(t *testing.T) {
 	net := nn.LeNet(10)
 	net.InitWeights(1)
-	rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,38 @@ func TestAttackTraceChecksContextAfterDefense(t *testing.T) {
 	}
 }
 
+// TestAttackTraceCapKeepsPrefix: a solver cap ends the enumeration like a
+// deadline does, keeping the deterministic prefix, but it is not a
+// cancellation, so Partial stays false.
+func TestAttackTraceCapKeepsPrefix(t *testing.T) {
+	net := nn.LeNet(10)
+	cap, err := Capture(net, accel.Config{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TraceInput{Input: net.Input, ElemBytes: 4, Classes: 10}
+	full, err := AttackTrace(context.Background(), cap.Result.Trace, in, structrev.DefaultOptions(), StructureAttackSpec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := structrev.DefaultOptions()
+	opt.MaxStructures = 5
+	rep, err := AttackTrace(context.Background(), cap.Result.Trace, in, opt, StructureAttackSpec{}, nil)
+	if !errors.Is(err, structrev.ErrTooManyStructures) {
+		t.Fatalf("err %v, want ErrTooManyStructures", err)
+	}
+	if rep == nil || rep.Partial {
+		t.Fatalf("report %v, want a non-partial report", rep)
+	}
+	if len(full.Structures) <= 5 || !reflect.DeepEqual(rep.Structures, full.Structures[:5]) {
+		t.Fatalf("capped structures are not the first 5 of the %d uncapped ones", len(full.Structures))
+	}
+}
+
 func TestMaterializeReproducesVictimShapes(t *testing.T) {
 	net := nn.LeNet(10)
 	net.InitWeights(1)
-	rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +169,7 @@ func TestMaterializeSqueezeNetDAG(t *testing.T) {
 	net.InitWeights(3)
 	opt := structrev.DefaultOptions()
 	opt.IdenticalModules = true
-	rep, err := RunStructureAttack(net, accel.Config{}, opt, 4)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, opt, 4, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +209,13 @@ func TestMaterializeSqueezeNetDAG(t *testing.T) {
 func TestRankCandidatesOrdersByAccuracy(t *testing.T) {
 	net := nn.LeNet(3)
 	net.InitWeights(1)
-	rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := RankCandidates(rep, net.Input, RankConfig{
+	scores := RankCandidatesResult(context.Background(), rep, net.Input, RankConfig{
 		Classes: 3, PerClass: 12, Epochs: 3, DepthDiv: 1, Seed: 7, MaxCandidates: 5,
-	})
+	}).Scores
 	if len(scores) == 0 {
 		t.Fatal("no scores")
 	}
@@ -227,7 +255,7 @@ func TestRunWeightAttackAccuracy(t *testing.T) {
 	for i := range net.Params[0].B.Data {
 		net.Params[0].B.Data[i] = float32(0.04 + 0.05*rng.Float64())
 	}
-	rep, err := RunWeightAttack(net, accel.Config{})
+	rep, err := RunWeightAttackOpts(context.Background(), net, accel.Config{}, WeightAttackConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +287,12 @@ func TestRunWeightAttackRejectsZeroBias(t *testing.T) {
 		net.Params[0].B.Data[d] = 0.05
 	}
 	net.Params[0].B.Data[1] = 0
-	rep, err := RunWeightAttack(net, accel.Config{})
+	rep, err := RunWeightAttackOpts(context.Background(), net, accel.Config{}, WeightAttackConfig{})
 	if err == nil || !strings.Contains(err.Error(), "filter 1 has a zero bias") {
 		t.Fatalf("report %+v, error %v; want filter 1's zero bias rejected", rep, err)
 	}
 	net.Params[0].B.Data[1] = -0.05
-	if _, err := RunWeightAttack(net, accel.Config{}); err != nil {
+	if _, err := RunWeightAttackOpts(context.Background(), net, accel.Config{}, WeightAttackConfig{}); err != nil {
 		t.Fatalf("non-zero biases: %v", err)
 	}
 }
@@ -272,13 +300,13 @@ func TestRunWeightAttackRejectsZeroBias(t *testing.T) {
 func TestRankCandidatesCapsAndSurvivesErrors(t *testing.T) {
 	net := nn.LeNet(3)
 	net.InitWeights(1)
-	rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := RankCandidates(rep, net.Input, RankConfig{
+	scores := RankCandidatesResult(context.Background(), rep, net.Input, RankConfig{
 		Classes: 2, PerClass: 4, Epochs: 1, DepthDiv: 1, Seed: 3, MaxCandidates: 2,
-	})
+	}).Scores
 	if len(scores) != 2 {
 		t.Fatalf("cap ignored: %d scores", len(scores))
 	}

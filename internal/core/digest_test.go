@@ -50,7 +50,7 @@ func digestLeNetReport(t *testing.T) (*core.StructureReport, nn.Shape) {
 	t.Helper()
 	net := nn.LeNet(10)
 	net.InitWeights(1)
-	rep, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 1)
+	rep, err := core.RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 1, core.StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

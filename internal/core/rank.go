@@ -123,30 +123,21 @@ type candState struct {
 	epochs int
 }
 
-// RankCandidates short-trains every recovered candidate on a synthetic
-// dataset and ranks them by validation accuracy — the paper's method for
-// picking the final structure (its Figures 4 and 5). The input resolution
-// and channel count follow the victim; depth scaling substitutes for the
-// paper's full-scale ImageNet training (see DESIGN.md §2).
-func RankCandidates(rep *StructureReport, input nn.Shape, rc RankConfig) []CandidateScore {
-	return RankCandidatesCtx(context.Background(), rep, input, rc)
-}
-
-// RankCandidatesCtx is RankCandidates with cooperative cancellation at
-// candidate and epoch granularity: a cancelled ranking abandons untrained
-// candidates (and unfinished epochs) and marks their scores with ctx's
-// error and a NaN accuracy, which sorts them after every real score. The
-// per-candidate RNG and shard-state isolation means a cancelled run leaves
-// no residue — a subsequent rank over the same report is bit-identical to
-// one that was never preceded by a cancellation.
-func RankCandidatesCtx(ctx context.Context, rep *StructureReport, input nn.Shape, rc RankConfig) []CandidateScore {
-	return RankCandidatesResult(ctx, rep, input, rc).Scores
-}
-
-// RankCandidatesResult is RankCandidatesCtx returning the full RankResult:
-// scores plus skip/rung/epoch accounting. When rc.Halving is set it runs
-// the successive-halving tournament; otherwise the flat schedule (a single
-// rung at the full budget).
+// RankCandidatesResult short-trains every recovered candidate on a
+// synthetic dataset and ranks them by validation accuracy — the paper's
+// method for picking the final structure (its Figures 4 and 5). The input
+// resolution and channel count follow the victim; depth scaling substitutes
+// for the paper's full-scale ImageNet training (see DESIGN.md §2). The
+// result carries the scores plus skip/rung/epoch accounting. When
+// rc.Halving is set it runs the successive-halving tournament; otherwise
+// the flat schedule (a single rung at the full budget).
+//
+// Cancellation works at candidate and epoch granularity: a cancelled
+// ranking abandons untrained candidates (and unfinished epochs) and marks
+// their scores with ctx's error and a NaN accuracy, which sorts them after
+// every real score. The per-candidate RNG and shard-state isolation means a
+// cancelled run leaves no residue — a subsequent rank over the same report
+// is bit-identical to one that was never preceded by a cancellation.
 //
 // Determinism contract, either schedule: candidate weights are seeded per
 // candidate (Seed+i), each candidate owns a private epoch-shuffle RNG, and

@@ -63,14 +63,14 @@ func sameScores(t *testing.T, label string, got, want []CandidateScore) {
 func TestRankCandidatesCancelledRunLeavesPoolClean(t *testing.T) {
 	net := nn.LeNet(3)
 	net.InitWeights(1)
-	rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := RankConfig{Classes: 3, PerClass: 9, Epochs: 2, DepthDiv: 1, Seed: 11, MaxCandidates: 6}
 	serialRC := rc
 	serialRC.Serial = true
-	ref := RankCandidates(rep, net.Input, serialRC)
+	ref := RankCandidatesResult(context.Background(), rep, net.Input, serialRC).Scores
 	if len(ref) < 2 {
 		t.Fatalf("want at least 2 candidates, got %d", len(ref))
 	}
@@ -81,7 +81,7 @@ func TestRankCandidatesCancelledRunLeavesPoolClean(t *testing.T) {
 	}
 	sawCancelled := false
 	for _, k := range checkpoints {
-		cancelled := RankCandidatesCtx(cancelAfter(k), rep, net.Input, rc)
+		cancelled := RankCandidatesResult(cancelAfter(k), rep, net.Input, rc).Scores
 		for _, sc := range cancelled {
 			if sc.Err != nil {
 				sawCancelled = true
@@ -91,7 +91,7 @@ func TestRankCandidatesCancelledRunLeavesPoolClean(t *testing.T) {
 			}
 		}
 		// rank → cancel → rank: the follow-up run must be pristine.
-		after := RankCandidatesCtx(context.Background(), rep, net.Input, rc)
+		after := RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores
 		sameScores(t, "post-cancel parallel rank vs serial reference", after, ref)
 	}
 	if !sawCancelled {
@@ -99,14 +99,14 @@ func TestRankCandidatesCancelledRunLeavesPoolClean(t *testing.T) {
 	}
 }
 
-// TestRunStructureAttackCtxPartialPrefix pins partial-result semantics for
+// TestRunStructureAttackSpecPartialPrefix pins partial-result semantics for
 // the solve stage: a cancellation mid-enumeration yields a report marked
 // Partial whose structures are a prefix of the full deterministic
 // enumeration.
-func TestRunStructureAttackCtxPartialPrefix(t *testing.T) {
+func TestRunStructureAttackSpecPartialPrefix(t *testing.T) {
 	net := nn.LeNet(10)
 	net.InitWeights(1)
-	full, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	full, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunStructureAttackCtxPartialPrefix(t *testing.T) {
 	for k := 2; k < 60; k += 7 {
 		net := nn.LeNet(10)
 		net.InitWeights(1)
-		rep, err := RunStructureAttackCtx(cancelAfter(k), net, accel.Config{}, structrev.DefaultOptions(), 2, nil)
+		rep, err := RunStructureAttackSpec(cancelAfter(k), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 		if err == nil {
 			if len(rep.Structures) != len(full.Structures) || rep.Partial {
 				t.Fatalf("k=%d: no error but incomplete report (%d structures, partial=%v)", k, len(rep.Structures), rep.Partial)
@@ -155,7 +155,7 @@ func TestRunStructureAttackCtxPartialPrefix(t *testing.T) {
 	}
 
 	// Already-expired context: refused before any work.
-	if rep, err := RunStructureAttackCtx(cancelAfter(0), net, accel.Config{}, structrev.DefaultOptions(), 2, nil); err == nil || rep != nil {
+	if rep, err := RunStructureAttackSpec(cancelAfter(0), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil); err == nil || rep != nil {
 		t.Fatalf("expired context: rep=%v err=%v, want nil/ctx error", rep, err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,14 +20,14 @@ func TestRankCandidatesParallelBitIdenticalToSerial(t *testing.T) {
 	victims := []*nn.Network{nn.LeNet(3), nn.ConvNet(3)}
 	for _, net := range victims {
 		net.InitWeights(1)
-		rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+		rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rc := RankConfig{Classes: 3, PerClass: 9, Epochs: 2, DepthDiv: 1, Seed: 11, MaxCandidates: 6}
-		par := RankCandidates(rep, net.Input, rc)
+		par := RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores
 		rc.Serial = true
-		ser := RankCandidates(rep, net.Input, rc)
+		ser := RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores
 		if len(par) != len(ser) {
 			t.Fatalf("%s: parallel ranked %d candidates, serial %d", net.Name, len(par), len(ser))
 		}

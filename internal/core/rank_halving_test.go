@@ -15,7 +15,7 @@ func lenetReport(t *testing.T) (*StructureReport, *nn.Network) {
 	t.Helper()
 	net := nn.LeNet(3)
 	net.InitWeights(1)
-	rep, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRankHalvingTop1MatchesFlatGoldenVictims(t *testing.T) {
 		net.InitWeights(1)
 		opt := structrev.DefaultOptions()
 		opt.IdenticalModules = tc.modular
-		rep, err := RunStructureAttack(net, accel.Config{}, opt, 2)
+		rep, err := RunStructureAttackSpec(context.Background(), net, accel.Config{}, opt, 2, StructureAttackSpec{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
+	"cnnrev/internal/defense"
 	"cnnrev/internal/nn"
-	"cnnrev/internal/oram"
 	"cnnrev/internal/structrev"
 )
 
@@ -27,11 +28,7 @@ func AblationTimingSweep(model string, tols []float64) ([]TimingSweepRow, error)
 	if len(tols) == 0 {
 		tols = []float64{1.05, 1.15, 1.35, 2.0, 4.0}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, err := victim(model)
 	if err != nil {
 		return nil, err
 	}
@@ -47,46 +44,17 @@ func AblationTimingSweep(model string, tols []float64) ([]TimingSweepRow, error)
 	truth := core.GroundTruthConfigs(net)
 	var rows []TimingSweepRow
 	for _, tol := range tols {
-		opt := structrev.DefaultOptions()
+		opt := solverOptions(model)
 		opt.TimingSpreadMax = tol
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		structures, err := structrev.Solve(a, net.Input.W, net.Input.C, net.NumClasses(), opt)
 		if err != nil {
 			return nil, err
 		}
-		row := TimingSweepRow{Tolerance: tol, Candidates: len(structures)}
-		for i := range structures {
-			if matchesTruth(&structures[i], truth) {
-				row.TruthFound = true
-				break
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, TimingSweepRow{
+			Tolerance: tol, Candidates: len(structures), TruthFound: core.FindTruth(structures, truth) >= 0,
+		})
 	}
 	return rows, nil
-}
-
-func matchesTruth(st *structrev.Structure, truth []structrev.LayerConfig) bool {
-	cfgs := st.WeightedConfigs()
-	if len(cfgs) != len(truth) {
-		return false
-	}
-	for i := range cfgs {
-		a, b := cfgs[i], truth[i]
-		if a.FC != b.FC || a.WOFM != b.WOFM || a.DOFM != b.DOFM {
-			return false
-		}
-		if a.FC {
-			continue
-		}
-		if a.F != b.F || a.S != b.S || a.ConvOutW() != b.ConvOutW() ||
-			a.HasPool != b.HasPool || a.FPool != b.FPool || a.SPool != b.SPool {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatTimingSweep renders the sweep.
@@ -112,21 +80,17 @@ type BiasAblationReport struct {
 // when the victim streams biases through DRAM: the extra D_OFM elements let
 // the solver reject wrong output-depth factorizations outright.
 func AblationBiasInDRAM(model string) (*BiasAblationReport, error) {
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, err := victim(model)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	plain, err := attack(net, accel.Config{}, structrev.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
 	optB := structrev.DefaultOptions()
 	optB.BiasInFilters = true
-	withBias, err := core.RunStructureAttack(net, accel.Config{BiasInDRAM: true}, optB, 2)
+	withBias, err := attack(net, accel.Config{BiasInDRAM: true}, optB)
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +190,7 @@ type ORAMReport struct {
 // structure attack no longer even segments it, at the measured bandwidth
 // cost.
 func AblationORAM(model string) (*ORAMReport, error) {
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, err := victim(model)
 	if err != nil {
 		return nil, err
 	}
@@ -238,16 +198,17 @@ func AblationORAM(model string) (*ORAMReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	obf, st, err := oram.Obfuscate(cap.Result.Trace, oram.Config{Seed: 5})
+	obf, st, err := defense.Apply(cap.Result.Trace, defense.Config{Kind: "oram", Seed: 5})
 	if err != nil {
 		return nil, err
 	}
-	_, aerr := structrev.Analyze(obf, net.Input.Len()*4, 4)
+	in := core.TraceInput{Input: net.Input, ElemBytes: cap.Sim.Config().ElemBytes, Classes: net.NumClasses()}
+	_, aerr := core.AttackTrace(context.Background(), obf, in, structrev.DefaultOptions(), core.StructureAttackSpec{}, nil)
 	return &ORAMReport{
 		Model:          model,
-		Overhead:       st.Overhead(),
-		Levels:         st.Levels,
-		MaxStash:       st.MaxStash,
+		Overhead:       st.ORAM.Overhead(),
+		Levels:         st.ORAM.Levels,
+		MaxStash:       st.ORAM.MaxStash,
 		AttackDefeated: aerr != nil,
 	}, nil
 }
@@ -273,11 +234,7 @@ func AblationKernelBound(model string, bounds []int) ([]KernelBoundRow, error) {
 	if len(bounds) == 0 {
 		bounds = []int{7, 11, 13, 22, 44}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, err := victim(model)
 	if err != nil {
 		return nil, err
 	}
@@ -301,12 +258,7 @@ func AblationKernelBound(model string, bounds []int) ([]KernelBoundRow, error) {
 			row.Err = err.Error()
 		} else {
 			row.Candidates = len(structures)
-			for i := range structures {
-				if matchesTruth(&structures[i], truth) {
-					row.TruthFound = true
-					break
-				}
-			}
+			row.TruthFound = core.FindTruth(structures, truth) >= 0
 		}
 		rows = append(rows, row)
 	}
@@ -340,17 +292,13 @@ func AblationBlockSize(model string, blocks []int) ([]BlockSizeRow, error) {
 	if len(blocks) == 0 {
 		blocks = []int{4, 16, 64}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
 	var rows []BlockSizeRow
 	for _, bb := range blocks {
-		net, err := victim(model, classes, 1)
+		net, err := victim(model)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.RunStructureAttack(net, accel.Config{BlockBytes: bb}, structrev.DefaultOptions(), 2)
+		rep, err := attack(net, accel.Config{BlockBytes: bb}, structrev.DefaultOptions())
 		row := BlockSizeRow{BlockBytes: bb}
 		if err != nil {
 			row.Err = err.Error()
@@ -389,21 +337,13 @@ func AblationTimingNoise(model string, jitters []float64) ([]NoiseRow, error) {
 	if len(jitters) == 0 {
 		jitters = []float64{0, 0.1, 0.25, 0.5}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
 	var rows []NoiseRow
 	for _, j := range jitters {
-		net, err := victim(model, classes, 1)
+		net, err := victim(model)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
-		}
-		rep, err := core.RunStructureAttack(net, accel.Config{CycleJitter: j, NoiseSeed: 11}, opt, 2)
+		rep, err := attack(net, accel.Config{CycleJitter: j, NoiseSeed: 11}, solverOptions(model))
 		if err != nil {
 			return nil, err
 		}
@@ -486,21 +426,13 @@ type DataflowRow struct {
 // dataflows, testing the paper's claim that the RAW structure survives
 // "regardless of micro-architecture details and data reuse strategies".
 func AblationDataflow(model string) ([]DataflowRow, error) {
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
 	var rows []DataflowRow
 	for _, df := range []accel.Dataflow{accel.OutputStationary, accel.WeightStationary, accel.RowStationary} {
-		net, err := victim(model, classes, 1)
+		net, err := victim(model)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
-		}
-		rep, err := core.RunStructureAttack(net, accel.Config{Dataflow: df}, opt, 2)
+		rep, err := attack(net, accel.Config{Dataflow: df}, solverOptions(model))
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"cnnrev/internal/accel"
-	"cnnrev/internal/core"
-	"cnnrev/internal/structrev"
 )
 
 // DataflowMatrixRow is one (victim, dataflow) cell of the attack-accuracy
@@ -36,20 +34,12 @@ func DataflowMatrix(models []string) ([]DataflowMatrixRow, error) {
 	}
 	var rows []DataflowMatrixRow
 	for _, model := range models {
-		classes := 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
 		for _, df := range []accel.Dataflow{accel.OutputStationary, accel.WeightStationary, accel.RowStationary} {
-			net, err := victim(model, classes, 1)
+			net, err := victim(model)
 			if err != nil {
 				return nil, err
 			}
-			opt := structrev.DefaultOptions()
-			if model == "squeezenet" {
-				opt.IdenticalModules = true
-			}
-			rep, err := core.RunStructureAttack(net, accel.Config{Dataflow: df}, opt, 2)
+			rep, err := attack(net, accel.Config{Dataflow: df}, solverOptions(model))
 			if err != nil {
 				return nil, err
 			}

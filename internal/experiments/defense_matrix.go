@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -11,16 +10,15 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
 	"cnnrev/internal/defense"
-	"cnnrev/internal/structrev"
 )
 
 // defenseMatrixSeed seeds the randomized defenses (dummy, rerand, oram);
 // the victim capture itself keeps the Table 3 input seed 2.
 const defenseMatrixSeed = 7
 
-// defenseSolveBudget bounds each cell's candidate enumeration, mirroring
-// the noise sweep: a defense that explodes the candidate space has already
-// won, so a truncated cell is recorded rather than enumerated forever.
+// defenseSolveBudget bounds each cell's attack, mirroring the noise sweep:
+// a defense that explodes the candidate space has already won, so a
+// truncated cell is recorded rather than enumerated forever.
 const (
 	defenseSolveTimeout       = 15 * time.Second
 	defenseSolveMaxStructures = 20000
@@ -77,9 +75,10 @@ func defenseConfigFor(kind, model string) defense.Config {
 // DefenseMatrix measures the structure attack against every defense for
 // the given victims (default: the four Table 3 networks) under both the
 // strict and the noise-tolerant analysis. Each victim is captured once;
-// each defense transforms that capture once, and both analysis modes
-// attack the same defended trace. A nil or empty defenses slice means all
-// of defenseMatrixDefenses.
+// each defense transforms that capture once, so a defeated cell still
+// reports the defense's cost, and both analysis modes attack the same
+// defended trace through core.AttackTrace. A nil or empty defenses slice
+// means all of defenseMatrixDefenses.
 //
 // A cell where analysis errors is the defense working as intended and is
 // recorded as defeated, not returned as an error.
@@ -92,32 +91,21 @@ func DefenseMatrix(models, defenses []string) ([]DefenseMatrixRow, error) {
 	}
 	var rows []DefenseMatrixRow
 	for _, model := range models {
-		classes := 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
-		net, err := victim(model, classes, 1)
+		net, err := victim(model)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
+		opt := solverOptions(model)
 		opt.MaxStructures = defenseSolveMaxStructures
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		cap, err := core.Capture(net, accel.Config{}, 2)
 		if err != nil {
 			return nil, fmt.Errorf("%s: capture: %w", model, err)
 		}
 		truth := core.GroundTruthConfigs(net)
-		elem := cap.Sim.Config().ElemBytes
-		inputBytes := net.Input.Len() * elem
+		in := core.TraceInput{Input: net.Input, ElemBytes: cap.Sim.Config().ElemBytes, Classes: net.NumClasses()}
 
 		for _, kind := range defenses {
 			cfg := defenseConfigFor(kind, model)
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", model, kind, err)
-			}
 			trace, st, err := defense.Apply(cap.Result.Trace, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: defense: %w", model, kind, err)
@@ -132,34 +120,23 @@ func DefenseMatrix(models, defenses []string) ([]DefenseMatrixRow, error) {
 					BandwidthOverhead: bw, LatencyOverhead: lat,
 				}
 				start := time.Now()
-				var a *structrev.Analysis
-				if mode == "strict" {
-					a, err = structrev.Analyze(trace, inputBytes, elem)
-				} else {
-					a, err = structrev.AnalyzeTolerant(trace, inputBytes, elem, structrev.TolerantOptions{})
-				}
-				if err != nil {
-					row.Defeated = true
-					row.Elapsed = time.Since(start)
-					rows = append(rows, logDefenseRow(row))
-					continue
-				}
-				row.Segments = len(a.Segments)
 				ctx, cancel := context.WithTimeout(context.Background(), defenseSolveTimeout)
-				structures, serr := structrev.SolveCtx(ctx, a, net.Input.W, net.Input.C, net.NumClasses(), opt)
+				rep, err := core.AttackTrace(ctx, trace, in, opt, core.StructureAttackSpec{Tolerant: mode == "tolerant"}, nil)
 				cancel()
+				if rep != nil {
+					row.Segments = len(rep.Analysis.Segments)
+				}
 				switch {
-				case serr == nil:
-				case errors.Is(serr, context.DeadlineExceeded), errors.Is(serr, structrev.ErrTooManyStructures):
+				case err == nil:
+				case truncated(rep, err):
 					row.Truncated = true // keep the deterministic prefix
 				default:
 					row.Defeated = true
-					row.Elapsed = time.Since(start)
-					rows = append(rows, logDefenseRow(row))
-					continue
 				}
-				row.Candidates = len(structures)
-				row.TruthFound = core.FindTruth(structures, truth) >= 0
+				if !row.Defeated {
+					row.Candidates = len(rep.Structures)
+					row.TruthFound = core.FindTruth(rep.Structures, truth) >= 0
+				}
 				row.Elapsed = time.Since(start)
 				rows = append(rows, logDefenseRow(row))
 			}

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -17,30 +18,29 @@ import (
 	"cnnrev/internal/structrev"
 )
 
-// victim builds one of the paper's four study networks with deterministic
-// weights.
-func victim(model string, classes, depthDiv int) (*nn.Network, error) {
-	var net *nn.Network
-	switch model {
-	case "lenet":
-		net = nn.LeNet(classes)
-	case "convnet":
-		net = nn.ConvNet(classes)
-	case "alexnet":
-		net = nn.AlexNet(classes, depthDiv)
-	case "squeezenet":
-		net = nn.SqueezeNet(classes, depthDiv)
-	case "vgg11":
-		net = nn.VGG11(classes, depthDiv)
-	case "nin":
-		net = nn.NiN(classes, depthDiv)
-	case "resnetmini":
-		net = nn.ResNetMini(classes, depthDiv)
-	default:
-		return nil, fmt.Errorf("experiments: unknown model %q", model)
+// victim builds a zoo network with its default class count and
+// deterministic weights.
+func victim(model string) (*nn.Network, error) {
+	net, err := nn.Model(model, 0, 1)
+	if err != nil {
+		return nil, err
 	}
 	net.InitWeights(1)
 	return net, nil
+}
+
+// solverOptions returns the solver settings for a victim: SqueezeNet is
+// solved under the identical-modules assumption, as in the paper.
+func solverOptions(model string) structrev.Options {
+	opt := structrev.DefaultOptions()
+	opt.IdenticalModules = model == "squeezenet"
+	return opt
+}
+
+// attack runs the clean §3 attack on net, captured with the Table 3 input
+// seed.
+func attack(net *nn.Network, cfg accel.Config, opt structrev.Options) (*core.StructureReport, error) {
+	return core.RunStructureAttackSpec(context.Background(), net, cfg, opt, 2, core.StructureAttackSpec{}, nil)
 }
 
 // paperStructureCounts records the candidate-structure counts the paper's
@@ -68,20 +68,12 @@ func Table3(models []string) ([]Table3Row, error) {
 	}
 	var rows []Table3Row
 	for _, m := range models {
-		classes := 10
-		if m == "alexnet" || m == "squeezenet" {
-			classes = 1000
-		}
-		net, err := victim(m, classes, 1)
+		net, err := victim(m)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
-		if m == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		start := time.Now()
-		rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
+		rep, err := attack(net, accel.Config{}, solverOptions(m))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m, err)
 		}
@@ -129,8 +121,8 @@ type Table4Report struct {
 // Table4 runs the structure attack on AlexNet and gathers the per-layer
 // view.
 func Table4() (*Table4Report, error) {
-	net, _ := victim("alexnet", 1000, 1)
-	rep, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	net, _ := victim("alexnet")
+	rep, err := attack(net, accel.Config{}, structrev.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -193,25 +185,23 @@ func (r *RankReport) String() string {
 // candidate structures, trained depth-scaled on the synthetic substitute
 // dataset (DESIGN.md §2).
 func Fig4(rc core.RankConfig) (*RankReport, error) {
-	net, _ := victim("alexnet", 1000, 1)
-	rep, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	net, _ := victim("alexnet")
+	rep, err := attack(net, accel.Config{}, structrev.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
 	if rc.TopK == 0 {
 		rc.TopK = 1
 	}
-	scores := core.RankCandidates(rep, net.Input, rc)
+	scores := core.RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores
 	return rankReport("Figure 4 (AlexNet)", scores, rc.TopK), nil
 }
 
 // Fig5 reproduces Figure 5: top-5 accuracy of the SqueezeNet candidates
 // after three epochs, under the identical-modules assumption.
 func Fig5(rc core.RankConfig) (*RankReport, error) {
-	net, _ := victim("squeezenet", 1000, 1)
-	opt := structrev.DefaultOptions()
-	opt.IdenticalModules = true
-	rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
+	net, _ := victim("squeezenet")
+	rep, err := attack(net, accel.Config{}, solverOptions("squeezenet"))
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +211,7 @@ func Fig5(rc core.RankConfig) (*RankReport, error) {
 	if rc.Epochs == 0 {
 		rc.Epochs = 3 // the paper trains three epochs for Figure 5
 	}
-	scores := core.RankCandidates(rep, net.Input, rc)
+	scores := core.RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores
 	return rankReport("Figure 5 (SqueezeNet)", scores, rc.TopK), nil
 }
 
@@ -299,7 +289,7 @@ func (r *Fig7Report) String() string {
 func Fig7(filters int) (*Fig7Report, error) {
 	net := PrunedConv1(filters, 0.25, 42)
 	start := time.Now()
-	rep, err := core.RunWeightAttack(net, accel.Config{})
+	rep, err := core.RunWeightAttackOpts(context.Background(), net, accel.Config{}, core.WeightAttackConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +303,7 @@ func Fig7(filters int) (*Fig7Report, error) {
 func Table3Extended() ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, m := range []string{"nin", "resnetmini"} {
-		net, err := victim(m, 10, 1)
+		net, err := victim(m)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +312,7 @@ func Table3Extended() ([]Table3Row, error) {
 			opt.AllowStrideOverKernel = true
 		}
 		start := time.Now()
-		rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
+		rep, err := attack(net, accel.Config{}, opt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m, err)
 		}

@@ -37,11 +37,7 @@ func (r *Fig3Report) String() string {
 // series as CSV (cycle, address, kind, blocks, segment) — the data behind
 // the paper's scatter plot — with the RAW-derived layer boundaries marked.
 func Fig3(model string, w io.Writer) (*Fig3Report, error) {
-	classes := 1000
-	if model == "lenet" || model == "convnet" {
-		classes = 10
-	}
-	net, err := victim(model, classes, 1)
+	net, err := victim(model)
 	if err != nil {
 		return nil, err
 	}

@@ -31,11 +31,10 @@ const noiseReorderWindow = 16
 // accesses per victim access), each spread over 4 disjoint regions.
 var noiseInterferenceLevels = []float64{0.05, 0.25}
 
-// noiseSolveBudget bounds each seed's candidate enumeration. Heavy
-// corruption widens the solver's size intervals enough that the candidate
-// space itself explodes — that explosion IS the degradation signal, so a
-// point that exhausts the budget is recorded as truncated rather than
-// enumerated to completion.
+// noiseSolveBudget bounds each seed's attack. Heavy corruption widens the
+// solver's size intervals enough that the candidate space itself explodes —
+// that explosion IS the degradation signal, so a point that exhausts the
+// budget is recorded as truncated rather than enumerated to completion.
 const (
 	noiseSolveTimeout       = 15 * time.Second
 	noiseSolveMaxStructures = 20000
@@ -75,32 +74,26 @@ type NoiseSweepPoint struct {
 // NoiseSweep measures structure-attack degradation under trace corruption
 // for the given victims (default: the four Table 3 networks). Each victim is
 // captured once; every sweep point re-corrupts that trace with seeded drop +
-// bounded-reorder (or co-tenant interference) models and runs the tolerant
-// analysis and solver on the result.
+// bounded-reorder (or co-tenant interference) models and attacks the result
+// with the tolerant analysis through core.AttackTrace.
 func NoiseSweep(models []string) ([]NoiseSweepPoint, error) {
 	if len(models) == 0 {
 		models = []string{"lenet", "convnet", "alexnet", "squeezenet"}
 	}
 	var points []NoiseSweepPoint
 	for _, m := range models {
-		classes := 10
-		if m == "alexnet" || m == "squeezenet" {
-			classes = 1000
-		}
-		net, err := victim(m, classes, 1)
+		net, err := victim(m)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
+		opt := solverOptions(m)
 		opt.MaxStructures = noiseSolveMaxStructures
-		if m == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		cap, err := core.Capture(net, accel.Config{}, 2)
 		if err != nil {
 			return nil, fmt.Errorf("%s: capture: %w", m, err)
 		}
 		truth := core.GroundTruthConfigs(net)
+		in := core.TraceInput{Input: net.Input, ElemBytes: cap.Sim.Config().ElemBytes, Classes: net.NumClasses()}
 
 		var cfgs []corrupt.Config
 		for _, drop := range noiseDropLevels {
@@ -119,31 +112,21 @@ func NoiseSweep(models []string) ([]NoiseSweepPoint, error) {
 			start := time.Now()
 			for _, seed := range noiseSweepSeeds {
 				cfg.Seed = seed
-				trace := cap.Result.Trace
-				if cfg.Enabled() {
-					trace = corrupt.Apply(trace, cfg)
-				}
-				elem := cap.Sim.Config().ElemBytes
-				a, err := structrev.AnalyzeTolerant(trace, net.Input.Len()*elem, elem, structrev.TolerantOptions{})
-				if err != nil {
-					pt.Failures++
-					continue
-				}
 				ctx, cancel := context.WithTimeout(context.Background(), noiseSolveTimeout)
-				structures, err := structrev.SolveCtx(ctx, a, net.Input.W, net.Input.C, net.NumClasses(), opt)
+				rep, err := core.AttackTrace(ctx, cap.Result.Trace, in, opt, core.StructureAttackSpec{Corrupt: cfg, Tolerant: true}, nil)
 				cancel()
 				switch {
 				case err == nil:
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, structrev.ErrTooManyStructures):
+				case truncated(rep, err):
 					pt.Truncated++ // keep the deterministic prefix
 				default:
 					pt.Failures++
 					continue
 				}
-				pt.MeanCandidates += float64(len(structures))
-				pt.MeanSegments += float64(len(a.Segments))
-				pt.MeanWriteHole += a.Noise.WriteHoleFrac
-				if core.FindTruth(structures, truth) >= 0 {
+				pt.MeanCandidates += float64(len(rep.Structures))
+				pt.MeanSegments += float64(len(rep.Analysis.Segments))
+				pt.MeanWriteHole += rep.Noise.WriteHoleFrac
+				if core.FindTruth(rep.Structures, truth) >= 0 {
 					pt.TruthRetained++
 				}
 			}
@@ -159,6 +142,12 @@ func NoiseSweep(models []string) ([]NoiseSweepPoint, error) {
 		}
 	}
 	return points, nil
+}
+
+// truncated reports whether an attack stopped at its budget — the deadline
+// or the solver cap — with a deterministic prefix of the candidate set.
+func truncated(rep *core.StructureReport, err error) bool {
+	return rep != nil && (rep.Partial || errors.Is(err, structrev.ErrTooManyStructures))
 }
 
 // FormatNoiseSweep renders the sweep as a markdown document (the attack's

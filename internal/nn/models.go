@@ -16,6 +16,45 @@ func scaleC(c, div int) int {
 	return s
 }
 
+// zoo maps each victim name to its constructor.
+var zoo = map[string]func(numClasses, depthDiv int) *Network{
+	"lenet":      func(c, _ int) *Network { return LeNet(c) },
+	"convnet":    func(c, _ int) *Network { return ConvNet(c) },
+	"alexnet":    AlexNet,
+	"squeezenet": SqueezeNet,
+	"vgg11":      VGG11,
+	"nin":        NiN,
+	"resnetmini": ResNetMini,
+}
+
+// IsModel reports whether Model knows name.
+func IsModel(name string) bool {
+	_, ok := zoo[name]
+	return ok
+}
+
+// Model builds a zoo network by name: lenet, convnet, alexnet, squeezenet,
+// vgg11, nin or resnetmini. numClasses 0 means 1000 for the ImageNet-sized
+// alexnet and squeezenet and 10 for the rest. depthDiv divides the channel
+// counts of the deeper nets; below 1 it means 1, the paper size. An unknown
+// name or a negative class count is an error.
+func Model(name string, numClasses, depthDiv int) (*Network, error) {
+	build, ok := zoo[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown model %q", name)
+	}
+	if numClasses < 0 {
+		return nil, fmt.Errorf("model %s: class count must be >= 0, got %d", name, numClasses)
+	}
+	if numClasses == 0 {
+		numClasses = 10
+		if name == "alexnet" || name == "squeezenet" {
+			numClasses = 1000
+		}
+	}
+	return build(numClasses, max(depthDiv, 1)), nil
+}
+
 // LeNet returns the 4-layer LeNet variant the paper studies (two conv
 // layers with pooling, two fully-connected layers) for 28×28 grayscale
 // input.

@@ -106,6 +106,46 @@ func TestDepthScaling(t *testing.T) {
 	}
 }
 
+// TestModelByName: the by-name constructor builds the same network as the
+// named constructor, with the zoo's class default, and rejects unknown
+// names and negative class counts instead of panicking.
+func TestModelByName(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		classes int
+		want    *Network
+	}{
+		{"lenet", 10, LeNet(10)},
+		{"convnet", 10, ConvNet(10)},
+		{"alexnet", 1000, AlexNet(1000, 32)},
+		{"squeezenet", 1000, SqueezeNet(1000, 32)},
+		{"vgg11", 10, VGG11(10, 32)},
+		{"nin", 10, NiN(10, 32)},
+		{"resnetmini", 10, ResNetMini(10, 32)},
+	} {
+		if !IsModel(tc.name) {
+			t.Fatalf("IsModel(%q) = false", tc.name)
+		}
+		got, err := Model(tc.name, 0, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != tc.want.Name || got.NumClasses() != tc.classes || got.TotalWeights() != tc.want.TotalWeights() {
+			t.Errorf("%s: built %s with %d classes and %d weights, want %s with %d and %d",
+				tc.name, got.Name, got.NumClasses(), got.TotalWeights(), tc.want.Name, tc.classes, tc.want.TotalWeights())
+		}
+	}
+	if n, err := Model("nin", 7, 0); err != nil || n.NumClasses() != 7 || n.Name != "nin/d1" {
+		t.Fatalf("nin with 7 classes at depth divisor 0: %v, %v", n, err)
+	}
+	if _, err := Model("resnet", 10, 1); err == nil || err.Error() != `unknown model "resnet"` || IsModel("resnet") {
+		t.Fatalf("unknown name: err %v", err)
+	}
+	if _, err := Model("lenet", -1, 1); err == nil {
+		t.Fatal("negative class count accepted")
+	}
+}
+
 func TestNewRejectsBadGraphs(t *testing.T) {
 	cases := []struct {
 		name  string

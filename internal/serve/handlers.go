@@ -269,6 +269,16 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	if r.Context().Err() != nil {
+		// The client is gone before anything was enqueued. Count it as a
+		// queued job cancelled by its disconnect, and write nothing: a job
+		// submitted now could be claimed or finished before the disconnect
+		// is noticed, and its work would go unread.
+		s.met.cancelled.Add(1)
+		s.met.abandoned.Add(1)
+		s.log.Info("request canceled by client disconnect before submit; no response written")
+		return
+	}
 	id := jobstore.NewID()
 
 	// Register before submitting so a Shutdown racing this handler either

@@ -182,7 +182,8 @@ func (s *Server) execute(j *job) (*attackResponse, int, error) {
 		input = net.Input
 		rep, err = core.RunStructureAttackSpec(ctx, net, accel.Config{Dataflow: df}, req.solverOptions(), req.Seed, spec, observe)
 	}
-	if err != nil && rep == nil {
+	// Only a deadline's partial report is served; a solver cap is a 422.
+	if err != nil && (rep == nil || !rep.Partial) {
 		return fail(http.StatusUnprocessableEntity, err)
 	}
 	if rep.Partial {
@@ -247,7 +248,7 @@ func (s *Server) execute(j *job) (*attackResponse, int, error) {
 			resp.WeightsError = "weight attack requires simulate mode"
 		} else {
 			t0 := time.Now()
-			wrep, err := core.RunWeightAttackCtx(ctx, net, accel.Config{Dataflow: df})
+			wrep, err := core.RunWeightAttackOpts(ctx, net, accel.Config{Dataflow: df}, core.WeightAttackConfig{})
 			// Record the stage on every outcome — an unreachable first layer
 			// or a mid-stage cancellation still spent this wall time, and the
 			// stage histogram must not undercount it.

@@ -147,21 +147,6 @@ func (r *attackRequest) mode() string {
 	return "simulate"
 }
 
-// zoo builds each simulate-mode victim from its class count and depth
-// divisor.
-var zoo = map[string]func(classes, depthDiv int) *nn.Network{
-	"lenet":      func(c, _ int) *nn.Network { return nn.LeNet(c) },
-	"convnet":    func(c, _ int) *nn.Network { return nn.ConvNet(c) },
-	"alexnet":    nn.AlexNet,
-	"squeezenet": nn.SqueezeNet,
-	"vgg11":      nn.VGG11,
-	"nin":        nn.NiN,
-	"resnetmini": nn.ResNetMini,
-	// The §4 weight-attack victim is built from filters, zero_frac and
-	// seed instead; see buildVictim.
-	"prunedconv1": nil,
-}
-
 // validate checks a bound request for its mode. It is the single gate both
 // endpoints pass before anything is enqueued, and it canonicalizes
 // Dataflow so every spelling of one schedule shares a cache key. Every
@@ -182,7 +167,9 @@ func (r *attackRequest) validate() error {
 		if r.Model == "" {
 			return fmt.Errorf("missing model")
 		}
-		if _, ok := zoo[r.Model]; !ok {
+		// The §4 weight-attack victim is built from filters, zero_frac and
+		// seed; see buildVictim.
+		if r.Model != "prunedconv1" && !nn.IsModel(r.Model) {
 			return fmt.Errorf("unknown model %q", r.Model)
 		}
 		if math.IsNaN(r.ZeroFrac) || math.IsInf(r.ZeroFrac, 0) {
@@ -347,18 +334,10 @@ func buildVictim(r *attackRequest) (*nn.Network, error) {
 		}
 		return experiments.PrunedConv1(r.Filters, zeroFrac, r.Seed), nil
 	}
-	build, ok := zoo[r.Model]
-	if !ok {
-		return nil, fmt.Errorf("unknown model %q", r.Model)
+	net, err := nn.Model(r.Model, r.Classes, r.DepthDiv)
+	if err != nil {
+		return nil, err
 	}
-	classes := r.Classes
-	if classes <= 0 {
-		classes = 10
-		if r.Model == "alexnet" || r.Model == "squeezenet" {
-			classes = 1000
-		}
-	}
-	net := build(classes, max(r.DepthDiv, 1))
 	net.InitWeights(r.Seed)
 	return net, nil
 }

@@ -850,3 +850,28 @@ func TestSimulateWeightsZeroBiasVictim(t *testing.T) {
 		t.Fatalf("weights %+v, weights_error %q; want a zero-bias weights_error", ar.Weights, ar.WeightsError)
 	}
 }
+
+// TestTraceUploadSolverCap pins the solver cap through the service. A LeNet
+// upload has 27 candidate structures: a cap of 5 is a 422 naming the cap,
+// and a cap of 27 returns every structure.
+func TestTraceUploadSolverCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	raw, _ := lenetTraceBytes(t)
+	code, body, _ := postTrace(t, ts, "inw=28&ind=1&classes=10&max_structures=5", raw)
+	want := "structrev: more than 5 candidate structures; aborting: too many candidate structures\n"
+	if code != http.StatusUnprocessableEntity || string(body) != want {
+		t.Fatalf("cap 5: status %d body %q, want 422 %q", code, body, want)
+	}
+	code, body, _ = postTrace(t, ts, "inw=28&ind=1&classes=10&max_structures=27", raw)
+	if code != http.StatusOK {
+		t.Fatalf("cap 27: status %d: %s", code, body)
+	}
+	var ar attackResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	if ar.NumStructures != 27 || len(ar.Structures) != 27 || ar.Truncated || ar.Partial {
+		t.Fatalf("cap 27: %d structures (%d rendered, truncated %v, partial %v), want all 27",
+			ar.NumStructures, len(ar.Structures), ar.Truncated, ar.Partial)
+	}
+}
