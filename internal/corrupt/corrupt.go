@@ -21,11 +21,9 @@
 package corrupt
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"cnnrev/internal/memtrace"
 )
@@ -150,6 +148,14 @@ const maxRegranRecords = 8 << 20
 // reordering, burst splitting, burst coalescing, transaction drop — so a
 // record can be split and then one half dropped, mirroring a probe that
 // first sees the merged bus and then undersamples it.
+//
+// Regranulation, the interference merge and the bounded reorder write one
+// output slice: the co-tenant accesses are drawn first (their number
+// depends only on the regranulated length, known up front), the chunks and
+// the cycle-sorted injections are merged straight into a slice of the final
+// size, and the reorder permutes that slice in place through a window-sized
+// ring. Coalescing and dropping then shrink it in place; only splitting,
+// which grows it, writes a new one.
 func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
 	out := &memtrace.Trace{BlockBytes: tr.BlockBytes}
 	if !cfg.Enabled() || len(tr.Accesses) == 0 {
@@ -170,14 +176,20 @@ func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
 	if gran > math.MaxUint32 {
 		gran = math.MaxUint32
 	}
-	// regranulate writes a fresh slice, so no model below touches tr.
-	out.Accesses = regranulate(tr.Accesses, uint32(gran), uint64(out.BlockBytes))
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.InterferenceRate > 0 {
-		out.Accesses = injectInterference(out, cfg, rng)
+	maxBlocks := uint32(gran)
+	// Each record becomes ceil(Count/maxBlocks) chunks, and at least one.
+	n := 0
+	for _, a := range tr.Accesses {
+		n += 1 + int((max(a.Count, 1)-1)/maxBlocks)
 	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var inj injections
+	if cfg.InterferenceRate > 0 {
+		inj = drawInterference(tr, n, cfg, rng)
+	}
+	out.Accesses = regranulateMerge(tr.Accesses, maxBlocks, uint64(tr.BlockBytes), inj, n)
 	if cfg.ReorderWindow > 0 {
-		out.Accesses = reorderBounded(out.Accesses, cfg.ReorderWindow, rng)
+		reorderBounded(out.Accesses, cfg.ReorderWindow, rng)
 	}
 	if cfg.SplitRate > 0 {
 		out.Accesses = splitBursts(out.Accesses, uint64(out.BlockBytes), cfg.SplitRate, rng)
@@ -191,33 +203,34 @@ func Apply(tr *memtrace.Trace, cfg Config) *memtrace.Trace {
 	return out
 }
 
-// regranulate chops burst records down to the probe's observation
-// granularity: consecutive chunks of at most maxBlocks blocks, all carrying
-// the source record's cycle stamp.
-func regranulate(accs []memtrace.Access, maxBlocks uint32, block uint64) []memtrace.Access {
-	// Each record becomes ceil(Count/maxBlocks) chunks, and at least one.
-	n := 0
-	for _, a := range accs {
-		n += 1 + int((max(a.Count, 1)-1)/maxBlocks)
-	}
-	out := make([]memtrace.Access, 0, n)
-	for _, a := range accs {
-		for a.Count > maxBlocks {
-			head := a
-			head.Count = maxBlocks
-			out = append(out, head)
-			a.Addr += uint64(maxBlocks) * block
-			a.Count -= maxBlocks
-		}
-		out = append(out, a)
-	}
-	return out
+// injection is one co-tenant access before the merge: its cycle, and its
+// address as an offset from the first interference region.
+type injection struct {
+	cycle uint64
+	off   uint32 // region·interferenceRegionGap + offset in the region
+	count uint8
+	kind  memtrace.Kind
 }
 
-// injectInterference adds co-tenant accesses in regions placed past the
-// victim's highest address, far enough that region clustering never merges
-// them with real buffers, and merges them into the trace in cycle order.
-func injectInterference(tr *memtrace.Trace, cfg Config, rng *rand.Rand) []memtrace.Access {
+// injections is a cycle-sorted list of co-tenant accesses and the address
+// their offsets count from.
+type injections struct {
+	base uint64
+	list []injection
+}
+
+// access returns the i-th injection as a trace record.
+func (inj injections) access(i int) memtrace.Access {
+	j := inj.list[i]
+	return memtrace.Access{Cycle: j.cycle, Addr: inj.base + uint64(j.off), Count: uint32(j.count), Kind: j.kind}
+}
+
+// drawInterference draws the co-tenant accesses for a regranulated trace of
+// n records, in regions placed past the victim's highest address, far
+// enough that region clustering never merges them with real buffers, and
+// returns them sorted by cycle. Regranulation keeps every record's cycle and
+// extent, so the span and footprint come from tr itself.
+func drawInterference(tr *memtrace.Trace, n int, cfg Config, rng *rand.Rand) injections {
 	accs := tr.Accesses
 	regions := cfg.InterferenceRegions
 	if regions <= 0 {
@@ -245,15 +258,18 @@ func injectInterference(tr *memtrace.Trace, cfg Config, rng *rand.Rand) []memtra
 	if base < maxEnd || base > ^uint64(0)-uint64(regions+1)*interferenceRegionGap {
 		// A hostile trace already occupies the top of the address space;
 		// there is nowhere disjoint to inject, so leave it untouched.
-		return accs
+		return injections{}
 	}
 	block := uint64(tr.BlockBytes)
-	var injected []memtrace.Access
-	for range accs {
+	// One coin per regranulated record: reserve for the mean plus six
+	// standard deviations, so the list is not regrown in practice.
+	mean := cfg.InterferenceRate * float64(n)
+	list := make([]injection, 0, int(mean+6*math.Sqrt(mean))+16)
+	for range n {
 		if rng.Float64() >= cfg.InterferenceRate {
 			continue
 		}
-		region := base + uint64(rng.Intn(regions))*interferenceRegionGap
+		region := uint64(rng.Intn(regions)) * interferenceRegionGap
 		off := uint64(rng.Int63n(interferenceRegionBytes)) / block * block
 		cyc := loCycle
 		if hiCycle > loCycle {
@@ -269,68 +285,132 @@ func injectInterference(tr *memtrace.Trace, cfg Config, rng *rand.Rand) []memtra
 		if rng.Intn(2) == 1 {
 			kind = memtrace.Write
 		}
-		injected = append(injected, memtrace.Access{
-			Cycle: cyc,
-			Addr:  region + off,
-			Count: uint32(1 + rng.Intn(4)),
-			Kind:  kind,
-		})
+		list = append(list, injection{cycle: cyc, off: uint32(region + off), count: uint8(1 + rng.Intn(4)), kind: kind})
 	}
-	if len(injected) == 0 {
-		return accs
-	}
-	// Stable merge by cycle: victim records keep their relative order, and
-	// an interfering access lands after victim records with the same stamp.
-	merged := make([]memtrace.Access, 0, len(accs)+len(injected))
-	i, j := 0, 0
-	// injected is generated with random cycles; sort it first. The sort must
-	// be stable so equal-cycle injections keep generation order (a high
-	// interference rate on a multi-million-record trace injects ~rate·n
-	// accesses, so this must also be O(n log n)).
-	slices.SortStableFunc(injected, func(x, y memtrace.Access) int { return cmp.Compare(x.Cycle, y.Cycle) })
-	for i < len(accs) && j < len(injected) {
-		if accs[i].Cycle <= injected[j].Cycle {
-			merged = append(merged, accs[i])
-			i++
-		} else {
-			merged = append(merged, injected[j])
-			j++
-		}
-	}
-	merged = append(merged, accs[i:]...)
-	merged = append(merged, injected[j:]...)
-	return merged
+	return injections{base: base, list: sortByCycle(list, loCycle)}
 }
 
-// reorderBounded shuffles records within a bounded window and reassigns the
-// original cycle sequence in order, so timestamps stay monotonic while the
-// address stream is locally permuted. It stable-sorts by the perturbed key
-// i + U[0,window]: with every key within `window` of its index, no element
-// can travel more than `window` positions in either direction. The keys lie
-// in [0, n+window), so a counting sort yields that stable order in
-// O(n + window).
-func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) []memtrace.Access {
-	keys := make([]int, len(accs))
-	// next counts the records per key, then holds each key's next slot.
-	next := make([]int, len(accs)+window)
-	for i := range keys {
-		keys[i] = i + rng.Intn(window+1)
-		next[keys[i]]++
+// sortByCycle sorts injections by cycle, stably, so equal-cycle injections
+// keep the order they were drawn in. It is a least-significant-digit radix
+// sort on 8-bit digits of cycle-lo (every cycle is at least lo): each byte
+// in which the cycles differ scatters the list into a second buffer, which
+// makes it linear in the ~rate·n injections. It returns whichever buffer
+// holds the result.
+func sortByCycle(list []injection, lo uint64) []injection {
+	var diff uint64
+	for _, j := range list {
+		diff |= j.cycle - lo
 	}
-	slot := 0
-	for k, c := range next {
-		next[k] = slot
-		slot += c
+	var buf []injection
+	for shift := uint(0); shift < 64 && diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue // no cycle differs from lo in this byte
+		}
+		if buf == nil {
+			buf = make([]injection, len(list))
+		}
+		var next [256]int
+		for _, j := range list {
+			next[byte((j.cycle-lo)>>shift)]++
+		}
+		at := 0
+		for d, c := range next {
+			next[d] = at
+			at += c
+		}
+		for _, j := range list {
+			d := byte((j.cycle - lo) >> shift)
+			buf[next[d]] = j
+			next[d]++
+		}
+		list, buf = buf, list
 	}
-	shuffled := make([]memtrace.Access, len(accs))
-	for i, k := range keys {
-		shuffled[next[k]] = accs[i]
-		next[k]++
+	return list
+}
+
+// regranulateMerge writes accs chunked down to the probe's observation
+// granularity — consecutive chunks of at most maxBlocks blocks, all
+// carrying the source record's cycle stamp — merged by cycle with the
+// injections into one slice of the final length. The merge is stable:
+// victim records keep their relative order, and an injected access lands
+// after victim records with the same stamp. n is the chunk count.
+func regranulateMerge(accs []memtrace.Access, maxBlocks uint32, block uint64, inj injections, n int) []memtrace.Access {
+	out := make([]memtrace.Access, 0, n+len(inj.list))
+	j := 0
+	for _, a := range accs {
+		for ; j < len(inj.list) && inj.list[j].cycle < a.Cycle; j++ {
+			out = append(out, inj.access(j))
+		}
+		for a.Count > maxBlocks {
+			head := a
+			head.Count = maxBlocks
+			out = append(out, head)
+			a.Addr += uint64(maxBlocks) * block
+			a.Count -= maxBlocks
+		}
+		out = append(out, a)
 	}
-	for d := range shuffled {
-		shuffled[d].Cycle = accs[d].Cycle
+	for ; j < len(inj.list); j++ {
+		out = append(out, inj.access(j))
 	}
-	return shuffled
+	return out
+}
+
+// reorderBounded shuffles records within a bounded window, in place, and
+// reassigns the original cycle sequence in order, so timestamps stay
+// monotonic while the address stream is locally permuted. It stable-sorts
+// by the perturbed key i + U[0,window]: with every key within `window` of
+// its index, no element can travel more than `window` positions in either
+// direction. That is a counting sort over a ring of window+1 keys: record i
+// waits in slot i mod (window+1) on its key's list, and once record i has
+// been read no later record can take key i, so key i's list is written out
+// then. No output position passes the record being read, and each record
+// leaves its slot, and output position d takes record d's cycle from its
+// slot, before the record window+1 places later reuses the slot.
+func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) {
+	m := window + 1
+	slots := min(m, len(accs)) // record i waits in held[i mod m]
+	held := make([]memtrace.Access, slots)
+	// next[s] is the slot after s on its key's list, or -1; key k's list
+	// hangs off the sentinel next[slots + k mod m], and tail[k mod m] is
+	// its last slot.
+	next := make([]int32, slots+m)
+	tail := make([]int32, m)
+	for k := range tail {
+		next[slots+k], tail[k] = -1, int32(slots+k)
+	}
+	// The key offsets are drawn a batch at a time, in record order, so the
+	// generator runs in a loop of its own rather than between list updates.
+	var offs [512]int32
+	d, dSlot, iSlot := 0, 0, 0 // the next output position, d mod m, and i mod m
+	for i := 0; i < len(accs)+window; i++ {
+		if i < len(accs) {
+			if i%len(offs) == 0 {
+				for j := range offs[:min(len(offs), len(accs)-i)] {
+					offs[j] = int32(rng.Intn(m))
+				}
+			}
+			k := iSlot + int(offs[i%len(offs)])
+			if k >= m {
+				k -= m
+			}
+			held[iSlot], next[iSlot] = accs[i], -1
+			next[tail[k]], tail[k] = int32(iSlot), int32(iSlot)
+		}
+		for s := next[slots+iSlot]; s >= 0; s = next[s] {
+			a := held[s]
+			a.Cycle = held[dSlot].Cycle
+			accs[d] = a
+			d++
+			if dSlot++; dSlot == m {
+				dSlot = 0
+			}
+		}
+		next[slots+iSlot], tail[iSlot] = -1, int32(slots+iSlot)
+		if iSlot++; iSlot == m {
+			iSlot = 0
+		}
+	}
 }
 
 // splitBursts cuts multi-block bursts in two at a random block boundary.
@@ -352,9 +432,10 @@ func splitBursts(accs []memtrace.Access, block uint64, rate float64, rng *rand.R
 }
 
 // coalesceBursts merges adjacent contiguous same-kind records, emulating a
-// probe that integrates over coarser windows than the burst engine.
+// probe that integrates over coarser windows than the burst engine. It
+// works in place: the output never runs ahead of the input.
 func coalesceBursts(accs []memtrace.Access, block uint64, rate float64, rng *rand.Rand) []memtrace.Access {
-	out := make([]memtrace.Access, 0, len(accs))
+	out := accs[:0]
 	for _, a := range accs {
 		if n := len(out); n > 0 {
 			last := &out[n-1]

@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cnnrev/internal/memtrace"
 )
@@ -352,6 +354,36 @@ func TestApplyDigests(t *testing.T) {
 		sum := sha256.Sum256(traceBytes(t, Apply(tc.tr, tc.cfg)))
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestApplyAllocatesOutputOnce pins the single-copy pipeline: under the
+// noisy-probe workload's two probe models, Apply allocates at most 1.1
+// times the bytes of the trace it returns, whether or not regranulation
+// splits the records.
+func TestApplyAllocatesOutputOnce(t *testing.T) {
+	probeSized := streamingTrace(1 << 18)
+	bursts := &memtrace.Trace{BlockBytes: 64, Accesses: make([]memtrace.Access, 1<<16)}
+	for i := range bursts.Accesses {
+		// 40-block bursts, chopped into chunks of 16, 16 and 8 blocks.
+		bursts.Accesses[i] = memtrace.Access{Cycle: uint64(i) * 40, Addr: 1<<30 + uint64(i)*40*64, Count: 40, Kind: memtrace.Kind(i % 2)}
+	}
+	for _, tr := range []*memtrace.Trace{probeSized, bursts} {
+		for _, cfg := range []Config{
+			{Seed: 1, InterferenceRate: 0.05, ReorderWindow: 16},
+			{Seed: 1, DropRate: 0.01, ReorderWindow: 16},
+		} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			out := Apply(tr, cfg)
+			runtime.ReadMemStats(&after)
+			outBytes := uint64(len(out.Accesses)) * uint64(unsafe.Sizeof(memtrace.Access{}))
+			if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(outBytes) {
+				t.Errorf("%d records, %+v: allocated %d bytes for a %d-byte output (%.3fx)",
+					len(tr.Accesses), cfg, got, outBytes, float64(got)/float64(outBytes))
+			}
 		}
 	}
 }

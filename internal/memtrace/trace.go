@@ -324,21 +324,27 @@ func CoalesceIntervals(ivs []Interval, gap uint64) []Interval {
 // CoalesceSorted is CoalesceIntervals over intervals already sorted by Lo
 // (see SortIntervals); it leaves sorted unchanged.
 func CoalesceSorted(sorted []Interval, gap uint64) []Interval {
-	if len(sorted) == 0 {
-		return nil
+	var out []Interval
+	for _, iv := range sorted {
+		out = AppendCoalesced(out, iv, gap)
 	}
-	out := []Interval{sorted[0]}
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
+	return out
+}
+
+// AppendCoalesced adds iv to set, a coalesced set none of whose intervals
+// starts after iv.Lo, and returns the result: iv joins the last interval
+// when the two lie within gap bytes, and is appended otherwise. A sweep
+// over intervals sorted by Lo builds CoalesceSorted's result with it one
+// interval at a time.
+func AppendCoalesced(set []Interval, iv Interval, gap uint64) []Interval {
+	if n := len(set); n > 0 {
+		last := &set[n-1]
 		// iv.Lo <= last.Hi+gap without the sum wrapping past 2^64: a
 		// hostile trace may place extents at the top of the address space.
 		if iv.Lo <= last.Hi || iv.Lo-last.Hi <= gap {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-		} else {
-			out = append(out, iv)
+			last.Hi = max(last.Hi, iv.Hi)
+			return set
 		}
 	}
-	return out
+	return append(set, iv)
 }

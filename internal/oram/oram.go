@@ -101,15 +101,22 @@ type controller struct {
 	max     int
 }
 
+// treeLevels returns the buckets per path of a tree with room for n
+// logical blocks in buckets of z: the fewest levels whose leaves hold them.
+func treeLevels(n int, z int) int {
+	levels := 1
+	for (1<<(levels-1))*z < n {
+		levels++
+	}
+	return levels
+}
+
 // newController sizes the tree for n logical blocks.
 func newController(n int, z int, rng *rand.Rand) *controller {
 	if n < 1 {
 		n = 1
 	}
-	levels := 1
-	for (1<<(levels-1))*z < n {
-		levels++
-	}
+	levels := treeLevels(n, z)
 	c := &controller{
 		z:       z,
 		levels:  levels,
@@ -218,10 +225,13 @@ func Obfuscate(tr *memtrace.Trace, cfg Config) (*memtrace.Trace, Stats, error) {
 	}
 
 	// Bound the run before enumerating anything: a hostile trace's extents
-	// can dwarf its record count.
+	// can dwarf its record count. Each record touches the block range
+	// [Addr/obb, Addr/obb + blocks); the distinct blocks, which size the
+	// tree, are the union of those ranges.
 	obb := uint64(cfg.BlockBytes)
 	var totalLogical uint64
-	for _, a := range tr.Accesses {
+	ranges := make([]memtrace.Interval, len(tr.Accesses))
+	for i, a := range tr.Accesses {
 		lo := a.Addr / obb * obb
 		hi := a.End(tr.BlockBytes)
 		// span/obb rounded up, without the += obb-1 overflow a hostile
@@ -235,13 +245,27 @@ func Obfuscate(tr *memtrace.Trace, cfg Config) (*memtrace.Trace, Stats, error) {
 		if totalLogical > maxLogicalAccesses {
 			return nil, Stats{}, fmt.Errorf("oram: trace spans more than %d logical block accesses at block size %d; use a larger ORAM block size", maxLogicalAccesses, cfg.BlockBytes)
 		}
+		ranges[i] = memtrace.Interval{Lo: a.Addr / obb, Hi: a.Addr/obb + blocks}
+	}
+	memtrace.SortIntervals(ranges)
+	var distinct uint64
+	for _, r := range memtrace.CoalesceSorted(ranges, 0) {
+		distinct += r.Bytes()
+	}
+	// Every access reads and writes a whole path of Z-slot buckets, so the
+	// physical count is known now, before the block set, the position map
+	// or the tree is built.
+	levels := treeLevels(max(int(distinct), 1), cfg.Z)
+	physical := totalLogical * 2 * uint64(cfg.Z) * uint64(levels)
+	if physical > maxPhysicalTransfers {
+		return nil, Stats{}, fmt.Errorf("oram: obfuscation would emit %d physical transfers (cap %d); use a larger ORAM block size", physical, maxPhysicalTransfers)
 	}
 
 	// Enumerate the logical block set. The inner loops step with an explicit
 	// wrap check: an extent hugging the top of the address space would
 	// otherwise wrap addr past hi and spin forever.
-	seen := map[uint64]struct{}{}
-	var logical []uint64
+	seen := make(map[uint64]struct{}, distinct)
+	logical := make([]uint64, 0, distinct)
 	for _, a := range tr.Accesses {
 		lo := a.Addr / obb * obb
 		hi := a.End(tr.BlockBytes)
@@ -261,10 +285,6 @@ func Obfuscate(tr *memtrace.Trace, cfg Config) (*memtrace.Trace, Stats, error) {
 	c := newController(len(logical), cfg.Z, rng)
 	for _, b := range logical {
 		c.pos[b] = rng.Intn(c.leaves)
-	}
-	physical := totalLogical * 2 * uint64(cfg.Z) * uint64(c.levels)
-	if physical > maxPhysicalTransfers {
-		return nil, Stats{}, fmt.Errorf("oram: obfuscation would emit %d physical transfers (cap %d); use a larger ORAM block size", physical, maxPhysicalTransfers)
 	}
 
 	st := Stats{Levels: c.levels, DistinctBlocks: len(logical)}

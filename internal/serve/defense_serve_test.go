@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"cnnrev/internal/accel"
+	"cnnrev/internal/memtrace"
 )
 
 // TestSimulateDefenseEndToEnd: the simulate endpoint accepts a defense
@@ -174,4 +178,35 @@ func TestDefenseSplitsCacheKey(t *testing.T) {
 	if hits := s.Metrics().Counter("cache_hits"); hits != 1 {
 		t.Fatalf("recorded %d cache hits, want 1", hits)
 	}
+}
+
+// TestTraceORAMHostileExtentsRejectedFast: an 87-byte upload of three
+// records — a 13-block read, then a write and a read of 2^24 blocks each —
+// asks the ORAM defense for 6,710,889,000 physical transfers. It is a 422
+// within a second, refused before the defense builds anything the size of
+// those extents.
+func TestTraceORAMHostileExtentsRejectedFast(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tr := &memtrace.Trace{BlockBytes: 64, Accesses: []memtrace.Access{
+		{Cycle: 0, Addr: 0, Count: 13, Kind: memtrace.Read},
+		{Cycle: 1, Addr: 1 << 32, Count: 1 << 24, Kind: memtrace.Write},
+		{Cycle: 2, Addr: 1 << 33, Count: 1 << 24, Kind: memtrace.Read},
+	}}
+	var raw bytes.Buffer
+	if err := tr.Write(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw.Len() != 87 {
+		t.Fatalf("upload is %d bytes, want 87", raw.Len())
+	}
+	start := time.Now()
+	code, body, _ := postTrace(t, ts, "inw=28&ind=1&classes=10&defense=oram", raw.Bytes())
+	elapsed := time.Since(start)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "would emit 6710889000 physical transfers") {
+		t.Fatalf("status %d, body %s; want 422 naming the transfer count", code, body)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("refusal took %v, want well under a second", elapsed)
+	}
+	t.Logf("422 in %v", elapsed)
 }

@@ -15,7 +15,7 @@ package structrev
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"cnnrev/internal/memtrace"
 )
@@ -201,16 +201,6 @@ func intervalOf(a memtrace.Access, blockBytes int) memtrace.Interval {
 	return memtrace.Interval{Lo: a.Addr, Hi: a.End(blockBytes)}
 }
 
-// regionIndex finds the region in sorted (by Lo) regions containing addr,
-// returning -1 if none.
-func regionIndex(regions []memtrace.Interval, addr uint64) int {
-	i := sort.Search(len(regions), func(i int) bool { return regions[i].Hi > addr })
-	if i < len(regions) && regions[i].Contains(addr) {
-		return i
-	}
-	return -1
-}
-
 // Analyze segments a trace into layers. inputBytes is the byte size of the
 // network input (known to the adversary, who controls it); elemBytes is the
 // element storage size (known from the data type).
@@ -229,27 +219,47 @@ func AnalyzeTolerant(tr *memtrace.Trace, inputBytes int, elemBytes int, topt Tol
 	return analyzeWith(tr, inputBytes, elemBytes, true, topt.withDefaults())
 }
 
-// filterInterference discards accesses in address clusters that look like
-// co-tenant traffic under either of two tests: coverage density below the
-// threshold (victim buffers are streamed near-completely, while
+// Record labels. Before the boundary scan, label[i] names the region record
+// i starts in: a feature-map region index (>= 0), or, for a read outside
+// every feature-map region, read-only region r as -2-r. After the scan it
+// names the segment a write or a feature-map read belongs to. noLabel marks
+// a record in no such region or segment, and dropped one the tolerant path
+// discarded as interference.
+const (
+	noLabel = -1
+	dropped = math.MinInt32
+)
+
+// filterInterference discards the records in address clusters that look
+// like co-tenant traffic under either of two tests: coverage density below
+// the threshold (victim buffers are streamed near-completely, while
 // interference scatters a few transactions over a wide region), or a sparse
 // burst isolated far from every substantial cluster (locally dense, but the
-// victim's buffers are guard-page-packed, never megabytes apart).
-func filterInterference(accs []memtrace.Access, bb int, topt TolerantOptions) ([]memtrace.Access, NoiseStats) {
+// victim's buffers are guard-page-packed, never megabytes apart). ord is the
+// trace in address order; the kept records are returned in address order in
+// ord's own storage, and every discarded record's label is set to dropped.
+func filterInterference(ord []addrRec, label []int32, bb uint64, topt TolerantOptions) ([]addrRec, NoiseStats) {
 	var st NoiseStats
-	ivs := make([]memtrace.Interval, len(accs))
-	for i, a := range accs {
-		ivs[i] = intervalOf(a, bb)
-	}
-	memtrace.SortIntervals(ivs)
-	clusters := memtrace.CoalesceSorted(ivs, topt.RegionGap)
-	covered := make([]uint64, len(clusters))
-	for _, iv := range memtrace.CoalesceSorted(ivs, 0) {
-		// A zero-gap interval lies inside exactly one gap-coalesced cluster.
-		if ci := regionIndex(clusters, iv.Lo); ci >= 0 {
-			covered[ci] += iv.Bytes()
+	// clusters coalesces the records at RegionGap, and covered[c] sums the
+	// bytes of the zero-gap runs in cluster c. A run never spans two
+	// clusters, so its bytes go to the cluster its first record joined.
+	var clusters []memtrace.Interval
+	var covered []uint64
+	var run memtrace.Interval
+	runCluster := 0
+	for _, r := range ord {
+		iv := r.iv(bb)
+		if clusters = memtrace.AppendCoalesced(clusters, iv, topt.RegionGap); len(clusters) > len(covered) {
+			covered = append(covered, 0)
 		}
+		if iv.Lo <= run.Hi {
+			run.Hi = max(run.Hi, iv.Hi)
+			continue
+		}
+		covered[runCluster] += run.Bytes()
+		run, runCluster = iv, len(clusters)-1
 	}
+	covered[runCluster] += run.Bytes()
 	drop := make([]bool, len(clusters))
 	for i, c := range clusters {
 		if c.Bytes() > 0 && float64(covered[i])/float64(c.Bytes()) < topt.MinRegionDensity {
@@ -286,15 +296,17 @@ func filterInterference(accs []memtrace.Access, bb int, topt TolerantOptions) ([
 		}
 	}
 	if st.InterferenceRegions == 0 {
-		return accs, st
+		return ord, st
 	}
-	kept := make([]memtrace.Access, 0, len(accs))
-	for _, a := range accs {
-		if ci := regionIndex(clusters, a.Addr); ci >= 0 && drop[ci] {
+	kept := ord[:0]
+	ci := 0
+	for _, r := range ord {
+		if c := regionAt(clusters, &ci, r.lo); c >= 0 && drop[c] {
+			label[r.index()] = dropped
 			st.InterferenceAccesses++
 			continue
 		}
-		kept = append(kept, a)
+		kept = append(kept, r)
 	}
 	return kept, st
 }
@@ -305,20 +317,27 @@ type segAcc struct {
 	roIdx      int // filter region index, -1 if none yet
 	firstIdx   int
 	readsInput bool
-	fmapReads  []memtrace.Interval
-	writeSpans []memtrace.Interval
+	// writes counts the writes attributed to this segment.
+	writes int
+	// readsFrom numbers, among the trace's feature-map reads in trace
+	// order, this segment's first one: its reads run up to the next
+	// segment's readsFrom.
+	readsFrom int
 	// trailing counts the fmap reads issued after the segment's last
 	// write; on a filter-region boundary they are re-attributed to the
 	// new layer (they are its stale-IFM prefetch).
 	trailing int
-	// readRegions tracks the fmap regions this segment has read, so the
-	// tolerant path can recognize a reordered producer write straggling
-	// in after its consumer already started (layers never write a region
-	// they read).
-	readRegions map[int]bool
 	// bytes is the total traffic attributed to this segment; the
 	// tolerant path folds negligible segments into a neighbor.
 	bytes uint64
+
+	// The final segment's address sets, each sorted by Lo and coalesced,
+	// read off the address order after the scan: its writes at the
+	// feature-map gap (outSpans) and, tolerant only, at gap 0
+	// (writeCover); its feature-map reads at gap 0 (reads) and, tolerant
+	// only, at RegionGap (readCover).
+	outSpans, writeCover []memtrace.Interval
+	reads, readCover     []memtrace.Interval
 }
 
 // writeRec is one write and the segment it is attributed to.
@@ -327,56 +346,59 @@ type writeRec struct {
 	seg int
 }
 
+// segmentation is what dependency attribution needs from segmentTrace.
+type segmentation struct {
+	segs []*segAcc
+	// writes holds every analyzed write in trace order, labelled with its
+	// segment.
+	writes []writeRec
+	// ends holds the sorted, distinct endpoints of the non-empty writes.
+	ends []uint64
+}
+
 func analyzeWith(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bool, topt TolerantOptions) (*Analysis, error) {
-	res, segs, writes, err := segmentTrace(tr, inputBytes, elemBytes, tolerant, topt)
+	res, sg, err := segmentTrace(tr, inputBytes, elemBytes, tolerant, topt)
 	if err != nil {
 		return nil, err
 	}
-	attributeDeps(res, segs, writes, topt.MinDepFrac)
+	attributeDeps(res, sg, topt.MinDepFrac)
 	return res, nil
 }
 
 // segmentTrace runs every analysis step but dependency attribution: it
 // builds the feature-map and read-only regions, scans the trace for layer
-// boundaries, and fills res.Segments with everything except Inputs. It
-// also returns the segments' accumulators, each with its fmapReads and
-// writeSpans sorted by Lo, and every write in trace order labelled with
-// its segment.
-func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bool, topt TolerantOptions) (*Analysis, []*segAcc, []writeRec, error) {
+// boundaries, and fills res.Segments with everything except Inputs.
+//
+// It sorts the trace once, by address (addrOrder), and reads every ordered
+// set it needs off that order in linear sweeps: the interference clusters
+// and their coverage, the feature-map and read-only regions, each record's
+// region label for the boundary scan, each segment's sorted spans, and the
+// write endpoints attribution paints over.
+func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bool, topt TolerantOptions) (*Analysis, *segmentation, error) {
 	if err := tr.Validate(); err != nil {
-		return nil, nil, nil, fmt.Errorf("structrev: %w", err)
+		return nil, nil, fmt.Errorf("structrev: %w", err)
 	}
 	if len(tr.Accesses) == 0 {
-		return nil, nil, nil, fmt.Errorf("structrev: empty trace")
+		return nil, nil, fmt.Errorf("structrev: empty trace")
+	}
+	if len(tr.Accesses) > maxRecords {
+		return nil, nil, fmt.Errorf("structrev: trace has %d records, more than the %d one analysis indexes", len(tr.Accesses), maxRecords)
 	}
 	bb := tr.BlockBytes
-
+	ubb := uint64(bb)
 	accs := tr.Accesses
+	ord := addrOrder(accs)
+	label := make([]int32, len(accs))
+
 	var noise NoiseStats
 	if tolerant {
-		accs, noise = filterInterference(accs, bb, topt)
-		if len(accs) == 0 {
-			return nil, nil, nil, fmt.Errorf("structrev: every access cluster fell below the interference density threshold")
+		ord, noise = filterInterference(ord, label, ubb, topt)
+		if len(ord) == 0 {
+			return nil, nil, fmt.Errorf("structrev: every access cluster fell below the interference density threshold")
 		}
 	}
 
 	// Pass 1: global write space and read-only (filter + input) regions.
-	nWrites := 0
-	for _, a := range accs {
-		if a.Kind == memtrace.Write {
-			nWrites++
-		}
-	}
-	if nWrites == len(accs) {
-		return nil, nil, nil, fmt.Errorf("structrev: trace has no reads")
-	}
-	writeIvs := make([]memtrace.Interval, 0, nWrites)
-	for _, a := range accs {
-		if a.Kind == memtrace.Write {
-			writeIvs = append(writeIvs, intervalOf(a, bb))
-		}
-	}
-	memtrace.SortIntervals(writeIvs)
 	// Feature-map regions: clusters of the written address space. The
 	// allocator separates distinct data structures by guard pages, so a
 	// zero-gap coalesce recovers them (a zero-copy concatenated output forms
@@ -387,7 +409,17 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 	if tolerant {
 		fmapGap = topt.RegionGap
 	}
-	fmapRegions := memtrace.CoalesceSorted(writeIvs, fmapGap)
+	var fmapRegions []memtrace.Interval
+	nWrites := 0
+	for _, r := range ord {
+		if r.isWrite() {
+			nWrites++
+			fmapRegions = memtrace.AppendCoalesced(fmapRegions, r.iv(ubb), fmapGap)
+		}
+	}
+	if nWrites == len(ord) {
+		return nil, nil, fmt.Errorf("structrev: trace has no reads")
+	}
 	// A dropped write at the very edge of an output region shrinks the
 	// write-derived region, orphaning the reads of that edge chunk; left
 	// alone they would form a phantom read-only region and fire boundary
@@ -399,30 +431,6 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 	if tolerant {
 		edgeSlack = topt.RegionGap / 2
 	}
-	roIvs := make([]memtrace.Interval, 0, len(accs)-nWrites)
-	for _, a := range accs {
-		if a.Kind != memtrace.Read {
-			continue
-		}
-		iv := intervalOf(a, bb)
-		test := iv
-		if tolerant {
-			if test.Lo >= edgeSlack {
-				test.Lo -= edgeSlack
-			} else {
-				test.Lo = 0
-			}
-			if test.Hi+edgeSlack >= test.Hi {
-				test.Hi += edgeSlack
-			} else {
-				test.Hi = ^uint64(0)
-			}
-		}
-		if !overlapsAny(fmapRegions, test) {
-			roIvs = append(roIvs, iv)
-		}
-	}
-	memtrace.SortIntervals(roIvs)
 	// A small gap tolerance bridges rows a strided convolution never samples
 	// (e.g. AlexNet conv1 leaves the last input row unread); it stays well
 	// under the allocator's page-granular separation of distinct regions.
@@ -430,17 +438,74 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 	if tolerant && topt.RegionGap > roGap {
 		roGap = topt.RegionGap
 	}
-	roRegions := memtrace.CoalesceSorted(roIvs, roGap)
+	// The read-only regions coalesce the reads that overlap no feature-map
+	// region, each read widened by edgeSlack on both sides (saturating at
+	// the ends of the address space). The widened starts rise with the
+	// reads', so one search position serves the whole sweep.
+	var roRegions, roRuns []memtrace.Interval // roRuns: tolerant only, at gap 0
+	fi := 0
+	for _, r := range ord {
+		if r.isWrite() {
+			continue
+		}
+		iv := r.iv(ubb)
+		lo, hi := iv.Lo-min(iv.Lo, edgeSlack), iv.Hi+edgeSlack
+		if hi < iv.Hi {
+			hi = ^uint64(0)
+		}
+		for fi < len(fmapRegions) && fmapRegions[fi].Hi <= lo {
+			fi++
+		}
+		if fi < len(fmapRegions) && fmapRegions[fi].Lo < hi {
+			continue
+		}
+		roRegions = memtrace.AppendCoalesced(roRegions, iv, roGap)
+		if tolerant {
+			roRuns = memtrace.AppendCoalesced(roRuns, iv, 0)
+		}
+	}
 	if tolerant {
 		var roExtent, roCov uint64
 		for _, r := range roRegions {
 			roExtent += r.Bytes()
 		}
-		for _, iv := range memtrace.CoalesceSorted(roIvs, 0) {
-			roCov += iv.Bytes()
+		for _, r := range roRuns {
+			roCov += r.Bytes()
 		}
 		if roExtent > 0 {
 			noise.ROHoleFrac = 1 - float64(roCov)/float64(roExtent)
+		}
+	}
+
+	// Label every record with the region it starts in, and note the first
+	// read, in trace order, starting in each read-only region.
+	firstRead := make([]int, len(roRegions))
+	for i := range firstRead {
+		firstRead[i] = len(accs)
+	}
+	fi = 0
+	ri := 0
+	for _, r := range ord {
+		i := r.index()
+		fr := regionAt(fmapRegions, &fi, r.lo)
+		if r.isWrite() {
+			label[i] = int32(fr)
+			continue
+		}
+		ro := regionAt(roRegions, &ri, r.lo)
+		if ro >= 0 {
+			firstRead[ro] = min(firstRead[ro], i)
+		}
+		if fr < 0 && tolerant {
+			fr = regionNear(fmapRegions, fi, r.lo, edgeSlack)
+		}
+		switch {
+		case fr >= 0:
+			label[i] = int32(fr)
+		case ro >= 0:
+			label[i] = int32(-2 - ro)
+		default:
+			label[i] = noLabel
 		}
 	}
 
@@ -453,13 +518,9 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 	// tile.)
 	inputIdx := -1
 	bestDiff := 1 << 62
-	for _, a := range accs {
-		if a.Kind != memtrace.Read {
-			continue
-		}
-		ro := regionIndex(roRegions, a.Addr)
-		if ro < 0 {
-			continue
+	for ro, first := range firstRead {
+		if first == len(accs) {
+			continue // no read starts in it
 		}
 		got := int(roRegions[ro].Bytes())
 		if got > inputBytes+bb || got < inputBytes*3/4 {
@@ -471,15 +532,16 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		}
 		// Closest size wins; earliest touch breaks ties (the input is always
 		// consumed in the first layer).
-		if diff < bestDiff {
+		if diff < bestDiff || inputIdx >= 0 && diff == bestDiff && first < firstRead[inputIdx] {
 			bestDiff = diff
 			inputIdx = ro
 		}
 	}
 	if inputIdx < 0 {
-		return nil, nil, nil, fmt.Errorf("structrev: no read-only region matches the declared %d-byte input", inputBytes)
+		return nil, nil, fmt.Errorf("structrev: no read-only region matches the declared %d-byte input", inputBytes)
 	}
 	inputRegion := roRegions[inputIdx]
+	inputLabel := int32(-2 - inputIdx)
 
 	// Pass 2: scan for boundaries. A new segment begins when
 	//  (a) a read hits a *fresh* feature-map region — one written since it
@@ -494,34 +556,55 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 	// allWrites records which segment wrote each interval, in trace order.
 	allWrites := make([]writeRec, 0, nWrites)
 	fresh := make([]bool, len(fmapRegions))
+	// readBy[fr] is the number of the last segment that read feature-map
+	// region fr, so the tolerant path can recognize a reordered producer
+	// write straggling in after its consumer already started reading the
+	// region (layers never write a region they read).
+	var readBy []int
+	if tolerant {
+		readBy = make([]int, len(fmapRegions))
+		for i := range readBy {
+			readBy[i] = -1
+		}
+	}
 	// inputConsumerRo is the filter region of the layer that consumes the
 	// network input (layer 0); an input read from any other layer marks the
 	// start of a new inference.
 	inputConsumerRo := -1
-
-	cur := &segAcc{start: accs[0].Cycle, roIdx: -1, firstIdx: 0}
+	first := 0
+	for label[first] == dropped {
+		first++
+	}
+	// nReads counts the feature-map reads scanned so far.
+	nReads := 0
+	cur := &segAcc{start: accs[first].Cycle, roIdx: -1, firstIdx: first}
+	lastCycle := accs[first].Cycle
 	closeSeg := func(nextStart int, moveTrailing bool) {
-		var carry []memtrace.Interval
-		if moveTrailing && cur.trailing > 0 {
-			n := len(cur.fmapReads) - cur.trailing
-			carry = append(carry, cur.fmapReads[n:]...)
-			cur.fmapReads = cur.fmapReads[:n]
+		carry := 0
+		if moveTrailing {
+			carry = cur.trailing
 		}
 		segs = append(segs, cur)
 		cur = &segAcc{start: accs[nextStart].Cycle, roIdx: -1, firstIdx: nextStart,
-			fmapReads: carry, trailing: len(carry)}
+			readsFrom: nReads - carry, trailing: carry}
 	}
-	for ai, a := range accs {
+	for ai := first; ai < len(accs); ai++ {
+		lab := label[ai]
+		if lab == dropped {
+			continue
+		}
+		a := accs[ai]
+		lastCycle = max(lastCycle, a.Cycle)
 		iv := intervalOf(a, bb)
 		if a.Kind == memtrace.Write {
-			fr := regionIndex(fmapRegions, a.Addr)
-			if tolerant && fr >= 0 && cur.readRegions[fr] && len(segs) > 0 {
+			fr := int(lab)
+			if tolerant && fr >= 0 && readBy[fr] == len(segs) && len(segs) > 0 {
 				// A reordered producer write straggling in after its consumer
 				// already started reading the region: attribute it to the
 				// previous segment. Re-marking the region fresh here would
 				// re-trigger boundary rule (a) and shatter the segmentation.
 				prev := segs[len(segs)-1]
-				prev.writeSpans = append(prev.writeSpans, iv)
+				prev.writes++
 				prev.bytes += iv.Bytes()
 				allWrites = append(allWrites, writeRec{iv, len(segs) - 1})
 				continue
@@ -529,7 +612,7 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 			if fr >= 0 {
 				fresh[fr] = true
 			}
-			cur.writeSpans = append(cur.writeSpans, iv)
+			cur.writes++
 			cur.bytes += iv.Bytes()
 			cur.trailing = 0
 			allWrites = append(allWrites, writeRec{iv, len(segs)})
@@ -540,41 +623,39 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		// filters before its first IFM tile, and an element-wise layer
 		// gathers several fresh operands — neither marks a new layer.
 		boundary := false
-		fr := regionIndex(fmapRegions, a.Addr)
-		if fr < 0 && tolerant {
-			fr = regionIndexNear(fmapRegions, a.Addr, edgeSlack)
+		fr, ro := -1, -1
+		if lab >= 0 {
+			fr = int(lab)
+		} else if lab != noLabel {
+			ro = int(-2 - lab)
 		}
 		if fr >= 0 && fresh[fr] {
-			if len(cur.writeSpans) > 0 {
+			if cur.writes > 0 {
 				boundary = true
 			}
 			fresh[fr] = false
 		}
-		ro := -1
-		if fr < 0 {
-			ro = regionIndex(roRegions, a.Addr)
+		switch {
+		case ro >= 0 && ro != inputIdx:
 			switch {
-			case ro >= 0 && ro != inputIdx:
-				switch {
-				case cur.roIdx >= 0 && cur.roIdx != ro:
-					// Rule (b): a different filter region is streaming.
-					boundary = true
-				case cur.roIdx < 0 && len(cur.writeSpans) > 0:
-					// Rule (b'): the current segment has no filter region yet
-					// it already wrote its output (an element-wise layer, or
-					// a weight-stationary layer whose single filter read
-					// opens the next layer) — a filter read must belong to a
-					// new layer. Layers never write before reading filters.
-					boundary = true
-				}
-			case ro == inputIdx:
-				// Rule (c): the network input is consumed only by the first
-				// layer — an input read from a segment that is not the
-				// input-consuming layer (and has produced output) starts a
-				// new inference.
-				if len(cur.writeSpans) > 0 && cur.roIdx != inputConsumerRo {
-					boundary = true
-				}
+			case cur.roIdx >= 0 && cur.roIdx != ro:
+				// Rule (b): a different filter region is streaming.
+				boundary = true
+			case cur.roIdx < 0 && cur.writes > 0:
+				// Rule (b'): the current segment has no filter region yet
+				// it already wrote its output (an element-wise layer, or
+				// a weight-stationary layer whose single filter read
+				// opens the next layer) — a filter read must belong to a
+				// new layer. Layers never write before reading filters.
+				boundary = true
+			}
+		case ro == inputIdx:
+			// Rule (c): the network input is consumed only by the first
+			// layer — an input read from a segment that is not the
+			// input-consuming layer (and has produced output) starts a
+			// new inference.
+			if cur.writes > 0 && cur.roIdx != inputConsumerRo {
+				boundary = true
 			}
 		}
 		if boundary && ai > cur.firstIdx {
@@ -591,13 +672,10 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 				}
 			}
 		} else if fr >= 0 || ro == inputIdx {
-			cur.fmapReads = append(cur.fmapReads, iv)
+			nReads++
 			cur.trailing++
 			if tolerant && fr >= 0 {
-				if cur.readRegions == nil {
-					cur.readRegions = make(map[int]bool)
-				}
-				cur.readRegions[fr] = true
+				readBy[fr] = len(segs)
 			}
 			if ro == inputIdx {
 				cur.readsInput = true
@@ -608,7 +686,13 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		}
 	}
 	segs = append(segs, cur)
+	scanned := segs
 
+	// owner[k] is the final index of the scan's segment k.
+	owner := make([]int, len(segs))
+	for k := range owner {
+		owner[k] = k
+	}
 	if tolerant && topt.MinSegmentBytes > 0 && len(segs) > 1 {
 		// Fold negligible segments into a neighbor. Reordering at a layer
 		// boundary interleaves the two layers' filter streams, so rules
@@ -617,7 +701,6 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		// least its whole filter region. Prefer the neighbor reading the
 		// same filter region (the straggler's origin).
 		var kept []*segAcc
-		remap := make([]int, len(segs))
 		// A segment is spurious if it moved negligible traffic, or if it is a
 		// weighted segment that wrote nothing and streams the same filter
 		// region as a neighbor: every real layer produces output, and adjacent
@@ -628,7 +711,7 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 			if sa.bytes < topt.MinSegmentBytes {
 				return true
 			}
-			if sa.roIdx >= 0 && len(sa.writeSpans) == 0 {
+			if sa.roIdx >= 0 && sa.writes == 0 {
 				if len(kept) > 0 && kept[len(kept)-1].roIdx == sa.roIdx {
 					return true
 				}
@@ -638,25 +721,23 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 			}
 			return false
 		}
+		// A merge moves no spans: every record keeps the scan's segment
+		// until the relabelling below resolves it through owner.
 		mergeInto := func(dst, src *segAcc, forward bool) {
 			if forward {
 				dst.start = src.start
 				dst.firstIdx = src.firstIdx
-				dst.fmapReads = append(append([]memtrace.Interval(nil), src.fmapReads...), dst.fmapReads...)
-				dst.writeSpans = append(append([]memtrace.Interval(nil), src.writeSpans...), dst.writeSpans...)
-			} else {
-				dst.fmapReads = append(dst.fmapReads, src.fmapReads...)
-				dst.writeSpans = append(dst.writeSpans, src.writeSpans...)
 			}
 			if dst.roIdx < 0 {
 				dst.roIdx = src.roIdx
 			}
 			dst.readsInput = dst.readsInput || src.readsInput
+			dst.writes += src.writes
 			dst.bytes += src.bytes
 		}
 		for i, sa := range segs {
 			if !spurious(i, sa) {
-				remap[i] = len(kept)
+				owner[i] = len(kept)
 				kept = append(kept, sa)
 				continue
 			}
@@ -666,26 +747,65 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 			case prevOK && (kept[len(kept)-1].roIdx == sa.roIdx || !nextOK ||
 				segs[i+1].roIdx != sa.roIdx):
 				mergeInto(kept[len(kept)-1], sa, false)
-				remap[i] = len(kept) - 1
+				owner[i] = len(kept) - 1
 			case nextOK:
 				mergeInto(segs[i+1], sa, true)
-				remap[i] = -1 // resolves to the successor's kept index
+				owner[i] = -1 // resolves to the successor's kept index
 			default:
 				// Every segment is negligible; keep it rather than lose it.
-				remap[i] = len(kept)
+				owner[i] = len(kept)
 				kept = append(kept, sa)
 			}
 		}
-		if len(kept) > 0 && len(kept) < len(segs) {
-			for i := len(segs) - 2; i >= 0; i-- {
-				if remap[i] < 0 {
-					remap[i] = remap[i+1]
-				}
+		for i := len(segs) - 2; i >= 0; i-- {
+			if owner[i] < 0 {
+				owner[i] = owner[i+1]
 			}
-			for wi := range allWrites {
-				allWrites[wi].seg = remap[allWrites[wi].seg]
+		}
+		for wi := range allWrites {
+			allWrites[wi].seg = owner[allWrites[wi].seg]
+		}
+		segs = kept
+	}
+
+	// Relabel each write and feature-map read with its final segment, in
+	// trace order: the scan's segment k owns the feature-map reads numbered
+	// from its readsFrom up to the next segment's.
+	wi, nth, k := 0, 0, 0
+	for ai := first; ai < len(accs); ai++ {
+		switch lab := label[ai]; {
+		case lab == dropped:
+		case accs[ai].Kind == memtrace.Write:
+			label[ai] = int32(allWrites[wi].seg)
+			wi++
+		case lab >= 0 || lab == inputLabel:
+			for k+1 < len(scanned) && scanned[k+1].readsFrom <= nth {
+				k++
 			}
-			segs = kept
+			label[ai] = int32(owner[k])
+			nth++
+		default:
+			label[ai] = noLabel
+		}
+	}
+	// Every segment's spans, sorted and coalesced, in one more sweep of the
+	// address order.
+	for _, r := range ord {
+		s := label[r.index()]
+		if s < 0 {
+			continue
+		}
+		sa, iv := segs[s], r.iv(ubb)
+		if r.isWrite() {
+			sa.outSpans = memtrace.AppendCoalesced(sa.outSpans, iv, fmapGap)
+			if tolerant {
+				sa.writeCover = memtrace.AppendCoalesced(sa.writeCover, iv, 0)
+			}
+			continue
+		}
+		sa.reads = memtrace.AppendCoalesced(sa.reads, iv, 0)
+		if tolerant {
+			sa.readCover = memtrace.AppendCoalesced(sa.readCover, iv, topt.RegionGap)
 		}
 	}
 
@@ -694,12 +814,6 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		Segments: make([]Segment, 0, len(segs))}
 	if tolerant {
 		res.AddrSlack = topt.AddrSlack
-	}
-	lastCycle := accs[0].Cycle
-	for _, a := range accs {
-		if a.Cycle > lastCycle {
-			lastCycle = a.Cycle
-		}
 	}
 	var ofmExtent, ofmCovered uint64
 	for si, sa := range segs {
@@ -721,9 +835,7 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		} else {
 			seg.Kind = SegEltwise
 		}
-		memtrace.SortIntervals(sa.writeSpans)
-		memtrace.SortIntervals(sa.fmapReads)
-		if w := memtrace.CoalesceSorted(sa.writeSpans, fmapGap); len(w) > 0 {
+		if w := sa.outSpans; len(w) > 0 {
 			if tolerant {
 				// Take the dominant written cluster as the OFM: residual
 				// interference writes form small satellite clusters that must
@@ -733,10 +845,16 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 				// feature-map reads are skipped — a layer never writes its
 				// input, so such a cluster is a reordered producer write that
 				// straggled in before this segment first read the region.
-				readCover := memtrace.CoalesceSorted(sa.fmapReads, topt.RegionGap)
 				best := -1
+				rc := sa.readCover
 				for i := range w {
-					if overlapsAny(readCover, w[i]) {
+					// Both sets are sorted and disjoint: drop the read spans
+					// ending by w[i]'s start; w[i] overlaps the next, if any
+					// starts before w[i] ends.
+					for len(rc) > 0 && rc[0].Hi <= w[i].Lo {
+						rc = rc[1:]
+					}
+					if len(rc) > 0 && rc[0].Lo < w[i].Hi {
 						continue
 					}
 					if best < 0 || w[i].Bytes() > w[best].Bytes() {
@@ -754,7 +872,7 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 				}
 				seg.OFMRegion = w[best]
 				seg.OFMBytes = w[best].Bytes()
-				for _, iv := range memtrace.CoalesceSorted(sa.writeSpans, 0) {
+				for _, iv := range sa.writeCover {
 					if iv.Lo >= w[best].Lo && iv.Hi <= w[best].Hi {
 						ofmCovered += iv.Bytes()
 					}
@@ -776,26 +894,54 @@ func segmentTrace(tr *memtrace.Trace, inputBytes int, elemBytes int, tolerant bo
 		noise.WriteHoleFrac = 1 - float64(ofmCovered)/float64(ofmExtent)
 	}
 	res.Noise = noise
-	return res, segs, allWrites, nil
+	return res, &segmentation{segs: segs, writes: allWrites, ends: writeEnds(ord, ubb, nWrites)}, nil
 }
 
-// regionIndexNear is regionIndex with an edge tolerance: it also matches an
-// address within slack bytes of a region's boundary (see edgeSlack in
-// segmentTrace).
-func regionIndexNear(regions []memtrace.Interval, addr uint64, slack uint64) int {
-	i := sort.Search(len(regions), func(i int) bool { return regions[i].Hi > addr })
-	if i < len(regions) {
-		if regions[i].Contains(addr) {
-			return i
-		}
-		if regions[i].Lo >= addr && regions[i].Lo-addr <= slack {
-			return i
-		}
+// regionNear returns the region in regions, sorted and disjoint, within
+// slack bytes of addr, which lies in none of them, or -1: i is the first
+// region ending past addr (see regionAt).
+func regionNear(regions []memtrace.Interval, i int, addr, slack uint64) int {
+	if i < len(regions) && regions[i].Lo >= addr && regions[i].Lo-addr <= slack {
+		return i
 	}
 	if i > 0 && addr-regions[i-1].Hi <= slack {
 		return i - 1
 	}
 	return -1
+}
+
+// writeEnds returns the sorted, distinct endpoints of the non-empty writes
+// in ord, which is in address order: the starts come off that order, the
+// ends are radix-sorted, and one merge joins the two.
+func writeEnds(ord []addrRec, bb uint64, nWrites int) []uint64 {
+	his := make([]uint64, 0, nWrites)
+	for _, r := range ord {
+		if r.isWrite() && r.cnt > 0 {
+			his = append(his, r.iv(bb).Hi)
+		}
+	}
+	memtrace.SortAddrs(his)
+	xs := make([]uint64, 0, 2*len(his))
+	j := 0
+	for _, r := range ord {
+		if !r.isWrite() || r.cnt == 0 {
+			continue
+		}
+		for ; j < len(his) && his[j] <= r.lo; j++ {
+			if len(xs) == 0 || xs[len(xs)-1] != his[j] {
+				xs = append(xs, his[j])
+			}
+		}
+		if len(xs) == 0 || xs[len(xs)-1] != r.lo {
+			xs = append(xs, r.lo)
+		}
+	}
+	for ; j < len(his); j++ {
+		if len(xs) == 0 || xs[len(xs)-1] != his[j] {
+			xs = append(xs, his[j])
+		}
+	}
+	return xs
 }
 
 // adjacentAddrs reports whether two region endpoints are contiguous within
@@ -827,13 +973,6 @@ func clip(a, b memtrace.Interval) memtrace.Interval {
 		hi = lo
 	}
 	return memtrace.Interval{Lo: lo, Hi: hi}
-}
-
-// overlapsAny reports whether iv overlaps any interval in the sorted,
-// disjoint set.
-func overlapsAny(sorted []memtrace.Interval, iv memtrace.Interval) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Hi > iv.Lo })
-	return i < len(sorted) && sorted[i].Lo < iv.Hi
 }
 
 // Inferences splits a multi-inference analysis (a trace of a continuously

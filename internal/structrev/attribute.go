@@ -14,8 +14,8 @@ import (
 // write if it wrote nothing. One forward sweep therefore answers all
 // segments: it paints the writes in trace order into a last-writer map and
 // answers each segment's reads when it reaches that segment's first write.
-// segs' fmapReads must be sorted by Lo (segmentTrace leaves them so).
-func attributeDeps(res *Analysis, segs []*segAcc, writes []writeRec, minDepFrac float64) {
+func attributeDeps(res *Analysis, sg *segmentation, minDepFrac float64) {
+	segs, writes := sg.segs, sg.writes
 	firstWrite := make([]int, len(segs))
 	for si := range firstWrite {
 		firstWrite[si] = len(writes)
@@ -23,11 +23,11 @@ func attributeDeps(res *Analysis, segs []*segAcc, writes []writeRec, minDepFrac 
 	for wi := len(writes) - 1; wi >= 0; wi-- {
 		firstWrite[writes[wi].seg] = wi
 	}
-	lw := newLastWriter(writes)
+	lw := newLastWriter(sg.ends)
 	dep := map[int]uint64{}
 	answer := func(si int) {
 		clear(dep)
-		for _, iv := range memtrace.CoalesceSorted(segs[si].fmapReads, 0) {
+		for _, iv := range segs[si].reads {
 			if res.InputRegion.Overlaps(iv) {
 				// Regions are guard-separated; a read never spans the input
 				// region and a feature map.
@@ -107,26 +107,19 @@ const (
 
 // lastWriter maps every written byte to the segment of its latest write.
 // It is a segment tree over the elementary intervals between the sorted,
-// distinct endpoints of all writes, built up front from the whole write
-// list. A node holds the label its entire range shares, or mixed. Painting
-// a write costs O(log M) for M endpoints, and reading an interval costs
-// O(log M) per run of one label it covers, whatever order the writes come
-// in; memory is O(writes).
+// distinct endpoints of all writes, built up front. A node holds the label
+// its entire range shares, or mixed. Painting a write costs O(log M) for M
+// endpoints, and reading an interval costs O(log M) per run of one label it
+// covers, whatever order the writes come in; memory is O(writes).
 type lastWriter struct {
 	xs   []uint64 // leaf i is the byte range [xs[i], xs[i+1])
 	lab  []int32
 	last int // index in xs of the previous write's Hi
 }
 
-func newLastWriter(writes []writeRec) lastWriter {
-	xs := make([]uint64, 0, 2*len(writes))
-	for _, w := range writes {
-		if w.iv.Lo < w.iv.Hi {
-			xs = append(xs, w.iv.Lo, w.iv.Hi)
-		}
-	}
-	memtrace.SortAddrs(xs)
-	xs = slices.Compact(xs)
+// newLastWriter returns an unpainted lastWriter over xs, the sorted,
+// distinct endpoints of the writes it will paint.
+func newLastWriter(xs []uint64) lastWriter {
 	lw := lastWriter{xs: xs}
 	if leaves := len(xs) - 1; leaves > 0 {
 		// A tree split at midpoints over n leaves uses node indices below

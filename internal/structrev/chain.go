@@ -349,7 +349,9 @@ func timingCheck(t timingWindow, seg *Segment, c *LayerConfig, opt Options) (tim
 
 // UniqueConfigs returns, for each weighted segment, the distinct
 // configurations appearing across the given structures — the per-layer view
-// of paper Table 4.
+// of paper Table 4 — each segment's ordered by their String form. The
+// strings are computed once per distinct configuration, not per
+// comparison.
 func UniqueConfigs(a *Analysis, structures []Structure) map[int][]LayerConfig {
 	res := map[int][]LayerConfig{}
 	seen := map[int]map[LayerConfig]bool{}
@@ -368,7 +370,26 @@ func UniqueConfigs(a *Analysis, structures []Structure) map[int][]LayerConfig {
 		}
 	}
 	for _, cfgs := range res {
-		sort.Slice(cfgs, func(i, j int) bool { return cfgs[i].String() < cfgs[j].String() })
+		keyed := configsByString{cfgs: cfgs, keys: make([]string, len(cfgs))}
+		for i := range cfgs {
+			keyed.keys[i] = cfgs[i].String()
+		}
+		sort.Sort(keyed)
 	}
 	return res
+}
+
+// configsByString sorts configurations by their precomputed String forms.
+// sort.Sort runs the same pdqsort as sort.Slice, so equal keys end in the
+// order a sort.Slice on the strings would leave them.
+type configsByString struct {
+	cfgs []LayerConfig
+	keys []string
+}
+
+func (c configsByString) Len() int           { return len(c.cfgs) }
+func (c configsByString) Less(i, j int) bool { return c.keys[i] < c.keys[j] }
+func (c configsByString) Swap(i, j int) {
+	c.cfgs[i], c.cfgs[j] = c.cfgs[j], c.cfgs[i]
+	c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
 }

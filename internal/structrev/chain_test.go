@@ -1,8 +1,13 @@
 package structrev
 
 import (
+	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
+	"cnnrev/internal/accel"
+	"cnnrev/internal/corrupt"
 	"cnnrev/internal/memtrace"
 	"cnnrev/internal/nn"
 )
@@ -127,5 +132,47 @@ func TestSolveMaxStructuresGuard(t *testing.T) {
 	opt.MaxStructures = 1 // LeNet yields dozens; the valve must trip
 	if _, err := Solve(a, 28, 1, 10, opt); err == nil {
 		t.Fatal("expected MaxStructures abort")
+	}
+}
+
+// TestUniqueConfigsMatchesStringSort pins UniqueConfigs' order on a report
+// of 20,000 structures — ConvNet under 10% drop and reorder window 16,
+// capped as the noise sweep caps its ConvNet drop-0.10 point — to a
+// sort.Slice that formats both configurations in every comparison.
+func TestUniqueConfigsMatchesStringSort(t *testing.T) {
+	net := nn.ConvNet(10)
+	tr := captureSeeded(t, net, accel.OutputStationary, 2)
+	noisy := corrupt.Apply(tr, corrupt.Config{Seed: 1, DropRate: 0.1, ReorderWindow: 16})
+	a, err := AnalyzeTolerant(noisy, net.Input.Len()*4, 4, TolerantOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.MaxStructures = 20000
+	structures, err := Solve(a, 32, 3, 10, opt)
+	if !errors.Is(err, ErrTooManyStructures) || len(structures) < 20000 {
+		t.Fatalf("%d structures (%v), want a capped report of 20000", len(structures), err)
+	}
+	want := map[int][]LayerConfig{}
+	seen := map[int]map[LayerConfig]bool{}
+	for _, st := range structures {
+		for _, l := range st.Layers {
+			if l.Config == nil {
+				continue
+			}
+			if seen[l.Segment] == nil {
+				seen[l.Segment] = map[LayerConfig]bool{}
+			}
+			if !seen[l.Segment][*l.Config] {
+				seen[l.Segment][*l.Config] = true
+				want[l.Segment] = append(want[l.Segment], *l.Config)
+			}
+		}
+	}
+	for _, cfgs := range want {
+		sort.Slice(cfgs, func(i, j int) bool { return cfgs[i].String() < cfgs[j].String() })
+	}
+	if got := UniqueConfigs(a, structures); !reflect.DeepEqual(got, want) {
+		t.Fatal("UniqueConfigs order differs from sorting by String in the comparator")
 	}
 }

@@ -2,7 +2,9 @@ package structrev
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cnnrev/internal/accel"
@@ -79,13 +81,14 @@ func FuzzAnalyze(f *testing.F) {
 // producing either an error or well-formed segments. This is the property
 // the revcnnd trace endpoint relies on.
 func FuzzAnalyzeHostile(f *testing.F) {
-	addSeed := func(tr *memtrace.Trace) {
+	addSized := func(tr *memtrace.Trace, inputBytes int) {
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes(), 64, int64(0))
+		f.Add(buf.Bytes(), inputBytes, int64(0))
 	}
+	addSeed := func(tr *memtrace.Trace) { addSized(tr, 64) }
 	// A minimal plausible two-layer trace.
 	addSeed(&memtrace.Trace{BlockBytes: 4, Accesses: []memtrace.Access{
 		{Cycle: 0, Addr: 0, Count: 16, Kind: memtrace.Read},
@@ -94,10 +97,50 @@ func FuzzAnalyzeHostile(f *testing.F) {
 		{Cycle: 20, Addr: 16384, Count: 12, Kind: memtrace.Read},
 		{Cycle: 30, Addr: 32768, Count: 2, Kind: memtrace.Write},
 	}})
+	// Empty extents: zero-block records starting exactly where a region
+	// ends. A region holds the addresses below its end, so they lie in no
+	// region, although an address-order sweep meets them right after the
+	// region's own records. One closes a sparse cluster 16 MiB above the
+	// victim, which the tolerant filter drops while keeping that record.
+	addSized(&memtrace.Trace{BlockBytes: 64, Accesses: []memtrace.Access{
+		{Cycle: 0, Addr: 0, Count: 16, Kind: memtrace.Read},
+		{Cycle: 1, Addr: 8192, Count: 16, Kind: memtrace.Read},
+		{Cycle: 2, Addr: 16384, Count: 16, Kind: memtrace.Write},
+		{Cycle: 3, Addr: 17408, Count: 0, Kind: memtrace.Write},
+		{Cycle: 4, Addr: 1024, Count: 0, Kind: memtrace.Read},
+		{Cycle: 5, Addr: 16384, Count: 16, Kind: memtrace.Read},
+		{Cycle: 6, Addr: 17408, Count: 0, Kind: memtrace.Read},
+		{Cycle: 7, Addr: 24576, Count: 16, Kind: memtrace.Read},
+		{Cycle: 8, Addr: 32768, Count: 4, Kind: memtrace.Write},
+		{Cycle: 9, Addr: 1 << 24, Count: 1, Kind: memtrace.Read},
+		{Cycle: 10, Addr: 1<<24 + 3000, Count: 1, Kind: memtrace.Write},
+		{Cycle: 11, Addr: 1<<24 + 3064, Count: 0, Kind: memtrace.Read},
+		{Cycle: 12, Addr: 1<<24 + 3064, Count: 0, Kind: memtrace.Write},
+	}}, 1024)
+	// Top-of-address-space extents: regions ending at 2^64-1, zero-block
+	// records at 2^64-1 itself, and reads whose edge slack saturates.
+	top := ^uint64(0)
+	addSized(&memtrace.Trace{BlockBytes: 1, Accesses: []memtrace.Access{
+		{Cycle: 0, Addr: top - 65536, Count: 1024, Kind: memtrace.Read},
+		{Cycle: 1, Addr: top - 32768, Count: 4096, Kind: memtrace.Read},
+		{Cycle: 2, Addr: top - 512, Count: 512, Kind: memtrace.Write},
+		{Cycle: 3, Addr: top, Count: 0, Kind: memtrace.Write},
+		{Cycle: 4, Addr: top - 512, Count: 512, Kind: memtrace.Read},
+		{Cycle: 5, Addr: top, Count: 0, Kind: memtrace.Read},
+		{Cycle: 6, Addr: top - 1, Count: 1, Kind: memtrace.Read},
+		{Cycle: 7, Addr: top - 16384, Count: 2048, Kind: memtrace.Read},
+		{Cycle: 8, Addr: top - 1024, Count: 256, Kind: memtrace.Write},
+	}}, 1024)
+	// Zero-block records only.
+	addSized(&memtrace.Trace{BlockBytes: 8, Accesses: []memtrace.Access{
+		{Cycle: 0, Addr: 0, Count: 0, Kind: memtrace.Read},
+		{Cycle: 1, Addr: 4096, Count: 0, Kind: memtrace.Write},
+		{Cycle: 2, Addr: 4096, Count: 0, Kind: memtrace.Read},
+		{Cycle: 3, Addr: 1 << 30, Count: 0, Kind: memtrace.Read},
+	}}, 1)
 	// Crash-corpus seeds: extents hugging the top of the address space (the
 	// decode overflow guard's boundary), zero-ish geometry, duplicate and
 	// interleaved regions, and a write-only trace.
-	top := ^uint64(0)
 	addSeed(&memtrace.Trace{BlockBytes: 64, Accesses: []memtrace.Access{
 		{Cycle: 0, Addr: top - 64*16 + 1, Count: 16, Kind: memtrace.Read},
 		{Cycle: 1, Addr: top - 64, Count: 1, Kind: memtrace.Write},
@@ -166,12 +209,12 @@ func FuzzAnalyzeHostile(f *testing.F) {
 		opt := DefaultOptions()
 		opt.MaxStructures = 200
 		for _, tolerant := range []bool{false, true} {
-			var a *Analysis
-			var err error
-			if tolerant {
-				a, err = AnalyzeTolerant(tr, inputBytes, 4, TolerantOptions{})
-			} else {
-				a, err = Analyze(tr, inputBytes, 4)
+			a, err := analyzeEither(tr, inputBytes, tolerant)
+			// The address-order segmentation must agree with the
+			// sort-and-search reference on every input, errors included.
+			want, wantErr := referenceSegment(tr, inputBytes, 4, tolerant)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(a, want) {
+				t.Fatalf("tolerant=%v: analysis %+v (%v), reference %+v (%v)", tolerant, a, err, want, wantErr)
 			}
 			if err != nil {
 				continue

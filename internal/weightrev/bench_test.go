@@ -1,6 +1,7 @@
 package weightrev
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"cnnrev/internal/accel"
@@ -64,4 +65,27 @@ func BenchmarkFastOracleQuery(b *testing.B) {
 			b.Fatalf("count changed: %d vs %d", got, want)
 		}
 	}
+}
+
+// BenchmarkFastOracleQueryParallel runs the same query as
+// BenchmarkFastOracleQuery from every worker at once, each on its own
+// channel, as the weight attack's parallel filter recovery does. Query
+// accounting that writes a cache line shared between channels shows up here
+// as a higher ns/op.
+func BenchmarkFastOracleQueryParallel(b *testing.B) {
+	o := fig7Oracle(b)
+	pixels := []Pixel{{C: 1, Y: 100, X: 120, V: 0.5}}
+	var workers atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		d := int(workers.Add(1)-1) % o.out.C
+		want := o.countChannel(d, pixels)
+		for pb.Next() {
+			if got := o.CountChannel(d, pixels); got != want {
+				b.Errorf("channel %d: count changed: %d vs %d", d, got, want)
+				return
+			}
+		}
+	})
 }

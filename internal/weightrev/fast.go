@@ -32,7 +32,17 @@ type FastOracle struct {
 	baseCount []int
 	baseNZ    [][]bool
 
-	queries atomic.Int64
+	// queries[d] counts the queries on channel d, and queries[out.C] the
+	// Counts calls. Each counter has its own cache line, so workers
+	// recovering different filters never write a line another one reads.
+	queries []paddedCount
+}
+
+// paddedCount is a query counter filling a 64-byte cache line: counters
+// in one slice are a line apart, so no two share one.
+type paddedCount struct {
+	atomic.Int64
+	_ [56]byte
 }
 
 // NewFastOracle builds the analytic oracle for layer 0 of net, mirroring
@@ -55,6 +65,7 @@ func NewFastOracle(net *nn.Network, cfg accel.Config, layer int) (*FastOracle, e
 		thresh:        cfg.Threshold,
 		poolBeforeAct: cfg.PoolBeforeActivation,
 	}
+	o.queries = make([]paddedCount, o.out.C+1)
 	o.rebuildBase()
 	return o, nil
 }
@@ -66,7 +77,13 @@ func (o *FastOracle) SetThreshold(t float32) {
 }
 
 // Queries returns the number of device inferences issued.
-func (o *FastOracle) Queries() int { return int(o.queries.Load()) }
+func (o *FastOracle) Queries() int {
+	var n int64
+	for i := range o.queries {
+		n += o.queries[i].Load()
+	}
+	return int(n)
+}
 
 func (o *FastOracle) weight(d, c, ky, kx int) float32 {
 	f := o.spec.F
@@ -221,7 +238,7 @@ func (o *FastOracle) affectedBefore(pixels []Pixel, y, x int) bool {
 // CountChannel returns the non-zero output count of channel d. It
 // allocates nothing.
 func (o *FastOracle) CountChannel(d int, pixels []Pixel) int {
-	o.queries.Add(1)
+	o.queries[d].Add(1)
 	return o.countChannel(d, pixels)
 }
 
@@ -253,7 +270,7 @@ func (o *FastOracle) countChannel(d int, pixels []Pixel) int {
 
 // Counts returns all channels' non-zero counts.
 func (o *FastOracle) Counts(pixels []Pixel) []int {
-	o.queries.Add(1)
+	o.queries[o.out.C].Add(1)
 	counts := make([]int, o.out.C)
 	for d := range counts {
 		counts[d] = o.countChannel(d, pixels)
