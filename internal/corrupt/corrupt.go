@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"cnnrev/internal/memtrace"
 )
@@ -366,18 +367,23 @@ func regranulateMerge(accs []memtrace.Access, maxBlocks uint32, block uint64, in
 // been read no later record can take key i, so key i's list is written out
 // then. No output position passes the record being read, and each record
 // leaves its slot, and output position d takes record d's cycle from its
-// slot, before the record window+1 places later reuses the slot.
+// slot, before the record window+1 places later reuses the slot. A trace
+// no longer than its window sorts its keys instead (reorderShort), so the
+// work and memory follow the trace, not the window.
 func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) {
 	m := window + 1
-	slots := min(m, len(accs)) // record i waits in held[i mod m]
-	held := make([]memtrace.Access, slots)
+	if m > len(accs) {
+		reorderShort(accs, m, rng)
+		return
+	}
+	held := make([]memtrace.Access, m) // record i waits in held[i mod m]
 	// next[s] is the slot after s on its key's list, or -1; key k's list
-	// hangs off the sentinel next[slots + k mod m], and tail[k mod m] is
-	// its last slot.
-	next := make([]int32, slots+m)
+	// hangs off the sentinel next[m + k mod m], and tail[k mod m] is its
+	// last slot.
+	next := make([]int32, 2*m)
 	tail := make([]int32, m)
 	for k := range tail {
-		next[slots+k], tail[k] = -1, int32(slots+k)
+		next[m+k], tail[k] = -1, int32(m+k)
 	}
 	// The key offsets are drawn a batch at a time, in record order, so the
 	// generator runs in a loop of its own rather than between list updates.
@@ -397,7 +403,7 @@ func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) {
 			held[iSlot], next[iSlot] = accs[i], -1
 			next[tail[k]], tail[k] = int32(iSlot), int32(iSlot)
 		}
-		for s := next[slots+iSlot]; s >= 0; s = next[s] {
+		for s := next[m+iSlot]; s >= 0; s = next[s] {
 			a := held[s]
 			a.Cycle = held[dSlot].Cycle
 			accs[d] = a
@@ -406,10 +412,30 @@ func reorderBounded(accs []memtrace.Access, window int, rng *rand.Rand) {
 				dSlot = 0
 			}
 		}
-		next[slots+iSlot], tail[iSlot] = -1, int32(slots+iSlot)
+		next[m+iSlot], tail[iSlot] = -1, int32(m+iSlot)
 		if iSlot++; iSlot == m {
 			iSlot = 0
 		}
+	}
+}
+
+// reorderShort is reorderBounded for fewer than m = window+1 records. It
+// draws the same key offsets in the same order, packs each key i+off above
+// its record index so that equal keys keep record order, as the ring's
+// lists do, and sorts the packed keys. Keys stay below 2m and indexes
+// below m, so the packing is exact for any window below 2^31, which the
+// ring's int32 slots need too (Validate caps windows at 2^20).
+func reorderShort(accs []memtrace.Access, m int, rng *rand.Rand) {
+	keys := make([]uint64, len(accs))
+	for i := range keys {
+		keys[i] = uint64(i+rng.Intn(m))<<32 | uint64(i)
+	}
+	memtrace.SortAddrs(keys)
+	orig := slices.Clone(accs)
+	for d, k := range keys {
+		a := orig[uint32(k)]
+		a.Cycle = orig[d].Cycle
+		accs[d] = a
 	}
 }
 

@@ -110,9 +110,12 @@ func (m *Mem) sweepLocked(now time.Time) {
 	}
 }
 
-// terminalizeLocked moves a job into a final state. Called with mu held.
+// terminalizeLocked moves a job into a final state and drops its payload:
+// a finished job is never claimed again, and the retained record must not
+// keep its upload alive. Called with mu held.
 func (m *Mem) terminalizeLocked(id string, j *memJob, st State, reason string) {
 	j.state = st
+	j.job.Payload = nil
 	if j.err == "" {
 		j.err = reason
 	}

@@ -421,6 +421,96 @@ func TestMemTerminalRetention(t *testing.T) {
 	}
 }
 
+// memPayload reads the payload the in-memory store still holds for id.
+func memPayload(t *testing.T, m *Mem, id string) []byte {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[id]
+	if j == nil {
+		t.Fatalf("job %s not retained", id)
+	}
+	return j.job.Payload
+}
+
+// TestMemDropsPayloadWhenTerminal: the in-memory store keeps its last
+// RetainTerminal finished jobs for Fetch and Wait, but not their uploads.
+// Every terminal transition drops the payload, while a job re-queued after
+// a lease expiry is re-claimed with it.
+func TestMemDropsPayloadWhenTerminal(t *testing.T) {
+	payload := []byte("upload bytes")
+	submit := func(t *testing.T, m *Mem) string {
+		t.Helper()
+		id := NewID()
+		if err := m.Submit(Job{ID: id, Payload: payload}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return id
+	}
+	claim := func(t *testing.T, m *Mem, worker string, lease time.Duration) *Claim {
+		t.Helper()
+		c, err := m.Claim(worker, lease)
+		if err != nil {
+			t.Fatalf("Claim: %v", err)
+		}
+		if !bytes.Equal(c.Payload, payload) {
+			t.Fatalf("attempt %d claimed payload %q, want %q", c.Attempt, c.Payload, payload)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		want   State
+		finish func(t *testing.T, m *Mem, id string)
+	}{
+		{"complete", StateDone, func(t *testing.T, m *Mem, id string) {
+			c := claim(t, m, "w1", time.Minute)
+			if err := m.Complete(c.ID, "w1", c.Attempt, []byte("res"), ""); err != nil {
+				t.Fatalf("Complete: %v", err)
+			}
+		}},
+		{"cancel-queued", StateCancelled, func(t *testing.T, m *Mem, id string) {
+			if _, err := m.Cancel(id); err != nil {
+				t.Fatalf("Cancel: %v", err)
+			}
+		}},
+		{"orphaned", StateFailed, func(t *testing.T, m *Mem, id string) {
+			claim(t, m, "w1", time.Millisecond)
+			time.Sleep(5 * time.Millisecond)
+			// The expired lease is re-queued, and the retry still carries
+			// its payload.
+			claim(t, m, "w2", time.Millisecond)
+			time.Sleep(5 * time.Millisecond)
+			m.Stats() // sweeps: the retry cap is exhausted
+		}},
+		{"cancel-at-lease-expiry", StateCancelled, func(t *testing.T, m *Mem, id string) {
+			claim(t, m, "w1", time.Millisecond)
+			if _, err := m.Cancel(id); err != nil {
+				t.Fatalf("Cancel: %v", err)
+			}
+			time.Sleep(5 * time.Millisecond)
+			m.Stats()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMem(Options{MaxRetries: 1})
+			defer m.Close()
+			id := submit(t, m)
+			tc.finish(t, m, id)
+			rec, err := m.Fetch(id)
+			if err != nil {
+				t.Fatalf("Fetch: %v", err)
+			}
+			if rec.State != tc.want {
+				t.Fatalf("state %s (%s), want %s", rec.State, rec.Err, tc.want)
+			}
+			if p := memPayload(t, m, id); p != nil {
+				t.Fatalf("%s job still holds its %d-byte payload", rec.State, len(p))
+			}
+		})
+	}
+}
+
 // TestFSSharedDirectory is the cross-process shape in miniature: two FS
 // handles on one directory, submit through one, drain through the other.
 func TestFSSharedDirectory(t *testing.T) {

@@ -6,10 +6,12 @@ import (
 	"io"
 )
 
-// DecodeBatch is the number of access records a Decoder yields per Next
-// call. At 21 serialized / 24 in-memory bytes per record one batch costs
-// ~180 KiB of working memory, independent of how large the trace is — a
-// multi-gigabyte probe capture decodes through the same two fixed buffers.
+// DecodeBatch is the largest number of access records a Decoder yields per
+// Next call. At 21 serialized / 24 in-memory bytes per record one batch
+// costs at most ~180 KiB of working memory, independent of how large the
+// trace is — a multi-gigabyte probe capture decodes through the same two
+// fixed buffers. A trace that declares fewer records gets buffers sized
+// for those.
 const DecodeBatch = 4096
 
 // Decoder incrementally decodes a serialized trace from an io.Reader. It
@@ -17,20 +19,14 @@ const DecodeBatch = 4096
 // block-size bounds up front (on the first Next call), per-record direction
 // and address-extent checks, and rejection of data past the declared record
 // count — but holds only one bounded batch in memory at a time, so decoding
-// never allocates proportionally to the trace size. DecodeTrace is
-// implemented on top of it, which keeps the two entry points' accepted
-// input sets identical by construction (pinned by FuzzTraceDecodeStream).
+// never allocates proportionally to the trace size. It and DecodeTrace
+// parse the header with parseHeader and every record with decodeRecords,
+// which keeps the two entry points' accepted input sets identical (pinned
+// by FuzzTraceDecodeStream).
 //
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
 	r io.Reader
-
-	// sizeHint is the total input length in bytes when the caller knows it
-	// (DecodeTrace does), enabling the header's declared record count to be
-	// validated against the bytes actually present before any allocation.
-	// -1 means unknown: a forged count then simply hits EOF mid-batch, and
-	// trailing bytes are caught by a one-byte probe after the last record.
-	sizeHint int64
 
 	block    uint64
 	declared uint64
@@ -46,7 +42,7 @@ type Decoder struct {
 // NewDecoder returns a decoder reading a serialized trace from r. The
 // header is read and validated on the first Next call.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, sizeHint: -1, batchCap: DecodeBatch}
+	return &Decoder{r: r, batchCap: DecodeBatch}
 }
 
 // BlockBytes returns the trace's block granularity, or 0 before the header
@@ -62,35 +58,44 @@ func (d *Decoder) Declared() uint64 { return d.declared }
 // Decoded returns the number of records yielded so far.
 func (d *Decoder) Decoded() uint64 { return d.decoded }
 
-// readHeader parses and validates the 24-byte header. With a size hint the
-// declared record count is additionally checked against the bytes present,
-// which both rejects forged counts before any allocation and makes the
-// accepted encoding canonical (no trailing bytes).
-func (d *Decoder) readHeader() error {
-	if d.sizeHint >= 0 && d.sizeHint < traceHeaderBytes {
-		return fmt.Errorf("memtrace: decode: %d bytes is shorter than the %d-byte header", d.sizeHint, traceHeaderBytes)
+// parseHeader validates the 24-byte header and returns its block size and
+// declared record count.
+func parseHeader(hdr []byte) (block, n uint64, err error) {
+	magic := binary.LittleEndian.Uint64(hdr[0:8])
+	block = binary.LittleEndian.Uint64(hdr[8:16])
+	n = binary.LittleEndian.Uint64(hdr[16:24])
+	if magic != uint64(traceMagic) {
+		return 0, 0, fmt.Errorf("memtrace: decode: bad magic %#x", magic)
 	}
+	if block == 0 || block > MaxBlockBytes {
+		return 0, 0, fmt.Errorf("memtrace: decode: implausible block size %d", block)
+	}
+	return block, n, nil
+}
+
+// decodeRecords decodes len(dst) records from raw, which holds exactly
+// that many, into dst. first is the index of dst[0] in the trace, for
+// error messages.
+func decodeRecords(dst []Access, raw []byte, block, first uint64) error {
+	for i := range dst {
+		a, err := decodeAccess(raw[i*accessRecordBytes:][:accessRecordBytes], block)
+		if err != nil {
+			return fmt.Errorf("memtrace: decode: access %d: %w", first+uint64(i), err)
+		}
+		dst[i] = a
+	}
+	return nil
+}
+
+// readHeader reads and validates the 24-byte header.
+func (d *Decoder) readHeader() error {
 	var hdr [traceHeaderBytes]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return fmt.Errorf("memtrace: decode: header: %w", err)
 	}
-	magic := binary.LittleEndian.Uint64(hdr[0:8])
-	block := binary.LittleEndian.Uint64(hdr[8:16])
-	n := binary.LittleEndian.Uint64(hdr[16:24])
-	if magic != uint64(traceMagic) {
-		return fmt.Errorf("memtrace: decode: bad magic %#x", magic)
-	}
-	if block == 0 || block > MaxBlockBytes {
-		return fmt.Errorf("memtrace: decode: implausible block size %d", block)
-	}
-	if d.sizeHint >= 0 {
-		body := uint64(d.sizeHint - traceHeaderBytes)
-		if n > body/accessRecordBytes {
-			return fmt.Errorf("memtrace: decode: header declares %d records but only %d bytes follow", n, body)
-		}
-		if n*accessRecordBytes != body {
-			return fmt.Errorf("memtrace: decode: %d trailing bytes past %d declared records", body-n*accessRecordBytes, n)
-		}
+	block, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return err
 	}
 	d.block, d.declared, d.headerOK = block, n, true
 	return nil
@@ -122,36 +127,29 @@ func (d *Decoder) Next() ([]Access, error) {
 		return nil, io.EOF
 	}
 	if d.raw == nil {
-		d.raw = make([]byte, d.batchCap*accessRecordBytes)
-		d.batch = make([]Access, d.batchCap)
+		// The declared count is a claim, but the buffers it sizes never
+		// exceed one full batch.
+		n := min(uint64(d.batchCap), d.declared)
+		d.raw = make([]byte, n*accessRecordBytes)
+		d.batch = make([]Access, n)
 	}
-	want := d.declared - d.decoded
-	if want > uint64(d.batchCap) {
-		want = uint64(d.batchCap)
-	}
+	want := min(d.declared-d.decoded, uint64(len(d.batch)))
 	buf := d.raw[:want*accessRecordBytes]
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		d.err = fmt.Errorf("memtrace: decode: access %d: %w (header declared %d records)", d.decoded, err, d.declared)
 		return nil, d.err
 	}
-	for i := uint64(0); i < want; i++ {
-		a, err := decodeAccess(buf[i*accessRecordBytes:][:accessRecordBytes], d.block)
-		if err != nil {
-			d.err = fmt.Errorf("memtrace: decode: access %d: %w", d.decoded+i, err)
-			return nil, d.err
-		}
-		d.batch[i] = a
+	batch := d.batch[:want]
+	if err := decodeRecords(batch, buf, d.block, d.decoded); err != nil {
+		d.err = err
+		return nil, err
 	}
 	d.decoded += want
-	return d.batch[:want], nil
+	return batch, nil
 }
 
-// expectEOF probes the stream for data past the declared records. With a
-// size hint the header check already proved there is none.
+// expectEOF probes the stream for data past the declared records.
 func (d *Decoder) expectEOF() error {
-	if d.sizeHint >= 0 {
-		return nil
-	}
 	var one [1]byte
 	n, err := io.ReadFull(d.r, one[:])
 	if n > 0 {

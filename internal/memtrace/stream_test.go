@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // synthAccess is the deterministic record stream the synthetic trace reader
@@ -242,6 +246,54 @@ func TestDecodeStreamConstantMemory(t *testing.T) {
 	// batches were consumed) pins the O(batch) memory claim.
 	if allocs > 16 {
 		t.Fatalf("streaming decode of %d records did %v allocs, want <= 16 (constant)", records, allocs)
+	}
+}
+
+// allocBytes returns the fewest heap bytes fn allocated over a few runs,
+// so a stray allocation elsewhere in the process does not count.
+func allocBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestSmallTraceDecodeAllocation: DecodeTrace decodes straight into its
+// exactly sized record slice, and a Decoder sizes its batch buffers for
+// the records its header declares, so decoding the 14-record LeNet golden
+// trace costs its records and not two 4096-record batches (~180 KiB).
+func TestSmallTraceDecodeAllocation(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "structrev", "testdata", "golden", "lenet.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr *Trace
+	got := allocBytes(func() {
+		if tr, err = DecodeTrace(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	records := uint64(len(tr.Accesses)) * uint64(unsafe.Sizeof(Access{}))
+	if len(tr.Accesses) != 14 || got-records >= 1<<10 {
+		t.Fatalf("DecodeTrace of %d records allocated %d bytes, %d beyond the records; want under 1 KiB beyond", len(tr.Accesses), got, got-records)
+	}
+	r := bytes.NewReader(raw)
+	got = allocBytes(func() {
+		r.Reset(raw)
+		if _, err := decodeAll(NewDecoder(r)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The batch buffers hold 14 records each (21 and 24 bytes per record);
+	// decodeAll's growing copy of the records comes on top.
+	if got >= 4<<10 {
+		t.Fatalf("streaming decode of 14 records allocated %d bytes, want under 4 KiB", got)
 	}
 }
 

@@ -7,7 +7,6 @@ package memtrace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -169,32 +168,38 @@ func decodeAccess(rec []byte, blockBytes uint64) (Access, error) {
 // could hold. Block sizes outside (0, MaxBlockBytes] and trailing bytes
 // past the declared records are rejected, which makes the accepted encoding
 // canonical — any buffer DecodeTrace accepts re-encodes via Write to the
-// identical bytes. It is a thin wrapper over the streaming Decoder with a
-// size hint; callers that can avoid materializing the serialized bytes
-// should use NewDecoder directly.
+// identical bytes. The records decode straight into the returned trace's
+// exactly sized slice, through the streaming Decoder's header and record
+// checks.
 func DecodeTrace(data []byte) (*Trace, error) {
-	d := NewDecoder(bytes.NewReader(data))
-	// Knowing the total length up front lets the decoder validate the
-	// declared record count before any allocation and reject trailing
-	// bytes from the header alone, which makes the exact preallocation
-	// below safe.
-	d.sizeHint = int64(len(data))
-	if err := d.readHeader(); err != nil {
+	if len(data) < traceHeaderBytes {
+		return nil, fmt.Errorf("memtrace: decode: %d bytes is shorter than the %d-byte header", len(data), traceHeaderBytes)
+	}
+	block, n, err := parseHeader(data[:traceHeaderBytes])
+	if err != nil {
 		return nil, err
 	}
-	return d.readAll(make([]Access, 0, d.declared))
+	body := uint64(len(data) - traceHeaderBytes)
+	if n > body/accessRecordBytes {
+		return nil, fmt.Errorf("memtrace: decode: header declares %d records but only %d bytes follow", n, body)
+	}
+	if n*accessRecordBytes != body {
+		return nil, fmt.Errorf("memtrace: decode: %d trailing bytes past %d declared records", body-n*accessRecordBytes, n)
+	}
+	accs := make([]Access, n)
+	if err := decodeRecords(accs, data[traceHeaderBytes:], block, 0); err != nil {
+		return nil, err
+	}
+	return &Trace{BlockBytes: int(block), Accesses: accs}, nil
 }
 
 // ReadTrace deserializes a trace written by Write from a stream of unknown
-// length. It is the same strict Decoder as DecodeTrace, so the two accept
-// exactly the same inputs: a forged record count hits EOF instead of
-// allocating, and data past the declared records is an error.
+// length. It is the streaming Decoder drained into one trace, so it accepts
+// exactly the inputs DecodeTrace accepts: a forged record count hits EOF
+// instead of allocating, and data past the declared records is an error.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	return NewDecoder(r).readAll(nil)
-}
-
-// readAll drains the decoder into one trace, appending to accs.
-func (d *Decoder) readAll(accs []Access) (*Trace, error) {
+	d := NewDecoder(r)
+	var accs []Access
 	for {
 		batch, err := d.Next()
 		if err == io.EOF {

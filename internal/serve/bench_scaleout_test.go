@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -55,3 +58,48 @@ func benchServeThroughput(b *testing.B, workers int) {
 
 func BenchmarkServeThroughput_1Workers(b *testing.B) { benchServeThroughput(b, 1) }
 func BenchmarkServeThroughput_4Workers(b *testing.B) { benchServeThroughput(b, 4) }
+
+// BenchmarkServeTraceUpload posts a golden trace to the trace endpoint of an
+// in-process server with cache_bypass=1, so every request streams its
+// upload into a job payload, runs the job and relays the result: LeNet's
+// 14-record trace, where the service layer is most of the cost, and
+// SqueezeNet's 28,078-record one. Run with -benchmem, B/op is the
+// allocation per upload of server and client together.
+func BenchmarkServeTraceUpload(b *testing.B) {
+	for _, c := range []struct{ name, query string }{
+		{"lenet", "inw=28&ind=1&classes=10"},
+		{"squeezenet", "inw=227&ind=3&classes=1000"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			raw, err := os.ReadFile(filepath.Join("..", "structrev", "testdata", "golden", c.name+".trace"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				sctx, scancel := ctxWithTimeout(120e9)
+				defer scancel()
+				if err := s.Shutdown(sctx); err != nil {
+					b.Errorf("shutdown: %v", err)
+				}
+				ts.Close()
+			}()
+			url := ts.URL + "/v1/attack/trace?cache_bypass=1&" + c.query
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := ts.Client().Post(url, "application/octet-stream", bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("trace upload = %d", resp.StatusCode)
+				}
+			}
+		})
+	}
+}

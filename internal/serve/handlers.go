@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -119,9 +120,11 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace accepts a raw serialized memtrace body plus query parameters
 // describing what the adversary knows (input geometry and class count).
-// The body is never buffered: records stream from the wire through the
-// incremental decoder in bounded batches, with the raw bytes SHA-256-hashed
-// in flight to form the result-cache key. Query parameters are validated
+// The body streams from the wire straight into the job payload
+// (uploadPayload), SHA-256-hashed in flight to form the result-cache key
+// and checked record by record by the incremental decoder, so a corrupt
+// upload fails at its first bad record and an accepted one is kept once,
+// as the 21 bytes per record it arrived as. Query parameters are validated
 // before the body is touched, so a bad request costs a header read rather
 // than a multi-gigabyte upload.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -140,26 +143,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	req.MaxStructures = s.solverCap(req.MaxStructures)
 
-	// Stream the body through hash and decoder in one pass. MaxBytesReader
-	// still guards chunked uploads that carry no Content-Length; its error
+	// Stream the body through hash, payload and decoder in one pass. The
+	// decoder only validates; its batches are dropped. MaxBytesReader still
+	// guards chunked uploads that carry no Content-Length; its error
 	// surfaces through the decoder wrapped, so errors.As recovers it here.
 	decodeStart := time.Now()
-	hash := sha256.New()
-	dec := memtrace.NewDecoder(io.TeeReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), hash))
-	var accs []memtrace.Access
-	if n := r.ContentLength; n > 0 {
-		// Records are 21 bytes on the wire. Content-Length is a client
-		// claim, so cap the pre-allocation: beyond the cap, append growth
-		// amortizes and the claim can no longer buy memory it didn't send.
-		hint := n / 21
-		if hint > 1<<20 {
-			hint = 1 << 20
-		}
-		accs = make([]memtrace.Access, 0, hint)
+	pb, err := newUploadPayload(req, r.ContentLength)
+	if err != nil {
+		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
+	hash := sha256.New()
+	dec := memtrace.NewDecoder(io.TeeReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), io.MultiWriter(hash, pb)))
 	for {
-		batch, derr := dec.Next()
+		_, derr := dec.Next()
 		if derr == io.EOF {
 			break
 		}
@@ -172,12 +171,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, derr.Error(), http.StatusBadRequest)
 			return
 		}
-		accs = append(accs, batch...)
 	}
-	up.Trace = &memtrace.Trace{BlockBytes: dec.BlockBytes(), Accesses: accs}
-	up.SHA256 = hex.EncodeToString(hash.Sum(nil))
+	payload, err := pb.seal(req, hex.EncodeToString(hash.Sum(nil)))
+	if err != nil {
+		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	s.met.ObserveStage("decode", time.Since(decodeStart))
-	s.submit(w, r, req, opts)
+	s.submit(w, r, req, payload, opts)
 }
 
 // handleSimulate accepts a JSON victim spec. Unknown fields are a 400. The
@@ -204,13 +205,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.submit(w, r, req, opts)
+	req.MaxStructures = s.solverCap(req.MaxStructures)
+	payload, err := encodeRequest(req)
+	if err != nil {
+		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	s.submit(w, r, req, payload, opts)
 }
 
 // marshalResponse renders an attack response body as compact JSON without
-// a trailing newline — the form that survives a json.RawMessage round-trip
-// through the result envelope byte-for-byte. Writers append the newline at
-// write time so cached replays stay byte-identical to first responses.
+// a trailing newline. The worker calls it for the body and, for a
+// cacheable result, again for the cached body (see envelope); writers
+// append the newline at write time, so cached replays stay byte-identical
+// to first responses but for the cached flag.
 func marshalResponse(resp *attackResponse) ([]byte, error) {
 	return json.Marshal(resp)
 }
@@ -225,7 +233,9 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 
 // solverCap merges a request's solver cap with the server's
 // -max-structures: the tighter positive bound wins, over the solver's
-// default.
+// default. Both handlers resolve it before encoding the job, so every
+// worker replica solves under the submitting frontend's bound and the
+// cache key records that bound.
 func (s *Server) solverCap(requested int) int {
 	c := structrev.DefaultOptions().MaxStructures
 	if s.cfg.MaxStructures > 0 {
@@ -237,15 +247,13 @@ func (s *Server) solverCap(requested int) int {
 	return c
 }
 
-// submit resolves a validated request against the content-addressed result
-// cache, then — on a miss — encodes it into the job store. opts.Wait (the
-// default) blocks until a worker (or shutdown) finishes the job, writing
-// its outcome and caching complete results; otherwise submit returns 202
-// with the job ID for GET /v1/jobs polling. The effective solver cap is
-// resolved here, before keying and encoding, so every worker replica
-// solves under the submitting frontend's bound.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackRequest, opts submitOptions) {
-	req.MaxStructures = s.solverCap(req.MaxStructures)
+// submit resolves a validated request, with its solver cap resolved,
+// against the content-addressed result cache, then — on a miss — puts its
+// encoded payload into the job store. opts.Wait (the default) blocks until
+// a worker (or shutdown) finishes the job, writing its outcome and caching
+// complete results; otherwise submit returns 202 with the job ID for GET
+// /v1/jobs polling.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackRequest, payload []byte, opts submitOptions) {
 	var key string
 	if s.cache != nil && opts.Wait {
 		key = req.cacheKey()
@@ -263,11 +271,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 	if timeout <= 0 || timeout > s.cfg.JobTimeout {
 		timeout = s.cfg.JobTimeout
-	}
-	payload, err := encodeRequest(req)
-	if err != nil {
-		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
-		return
 	}
 	if r.Context().Err() != nil {
 		// The client is gone before anything was enqueued. Count it as a
@@ -360,7 +363,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 		s.met.abandoned.Add(1)
 		s.log.Info("job canceled by client disconnect; no response written", "job", id)
 		if res.err == nil && res.rec.State == jobstore.StateDone {
-			s.maybeCache(key, res.rec)
+			if env, err := decodeEnvelope(res.rec.Result); err == nil {
+				s.maybeCache(key, env)
+			}
 		}
 		return
 	case res := <-recc:
@@ -372,28 +377,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req *attackReque
 	}
 }
 
-// maybeCache stores a finished job's cacheable envelope, re-marshaling the
-// body with the cached flag set (byte-stable: compact JSON, sorted map
-// keys, round-trip-exact numbers).
-func (s *Server) maybeCache(key string, rec *jobstore.Record) {
-	if s.cache == nil || key == "" || len(rec.Result) == 0 {
-		return
-	}
-	env, err := decodeEnvelope(rec.Result)
-	if err != nil || !env.Cacheable {
-		return
-	}
-	var resp attackResponse
-	if err := json.Unmarshal(env.Body, &resp); err != nil {
-		return
-	}
-	resp.Cached = true
-	body, err := marshalResponse(&resp)
-	if err != nil {
+// maybeCache stores a finished job's cached body, which the worker
+// marshaled with the cached flag set, under key. The cache keeps its own
+// copy, so an entry holds exactly the bytes its budget counts.
+func (s *Server) maybeCache(key string, env *resultEnvelope) {
+	if s.cache == nil || key == "" || !env.Cacheable {
 		return
 	}
 	s.met.cacheStores.Add(1)
-	s.met.cacheEvictions.Add(s.cache.put(key, body))
+	s.met.cacheEvictions.Add(s.cache.put(key, bytes.Clone(env.Cached)))
 }
 
 // writeOutcome relays a terminal job record to the synchronous client.
@@ -413,9 +405,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, key string, rec *jobstore.R
 			http.Error(w, env.ErrMsg, env.Status)
 			return
 		}
-		if env.Cacheable {
-			s.maybeCache(key, rec)
-		}
+		s.maybeCache(key, env)
 		writeBody(w, env.Status, env.Body)
 	case jobstore.StateCancelled:
 		// Either shutdown aborted it while queued or another client's DELETE

@@ -174,7 +174,7 @@ func (s *Server) execute(j *job) (*attackResponse, int, error) {
 	if up := req.Upload; up != nil {
 		input = nn.Shape{C: up.InD, H: up.InW, W: up.InW}
 		in := core.TraceInput{Input: input, ElemBytes: up.Elem, Classes: req.Classes, Dataflow: df}
-		rep, err = core.AttackTrace(ctx, up.Trace, in, req.solverOptions(), spec, observe)
+		rep, err = core.AttackTrace(ctx, j.trace, in, req.solverOptions(), spec, observe)
 	} else {
 		if net, err = buildVictim(req); err != nil {
 			return fail(http.StatusBadRequest, err)
@@ -322,17 +322,31 @@ func fillStructureResult(resp *attackResponse, rep *core.StructureReport, maxRet
 		n = maxReturn
 		resp.Truncated = true
 	}
+	names := make(map[structrev.LayerConfig]string)
 	for i := 0; i < n; i++ {
-		resp.Structures = append(resp.Structures, renderStructure(&rep.Structures[i]))
+		resp.Structures = append(resp.Structures, renderStructure(&rep.Structures[i], names))
 	}
 }
 
 // renderStructure prints a candidate as its weighted configs in execution
-// order, the same view cmd/revcnn prints.
-func renderStructure(st *structrev.Structure) string {
-	var parts []string
-	for _, c := range st.WeightedConfigs() {
-		parts = append(parts, c.String())
+// order (WeightedConfigs), the same view cmd/revcnn prints. names memoizes
+// each distinct config's string across the structures of one response,
+// which share most of their layer hypotheses.
+func renderStructure(st *structrev.Structure, names map[structrev.LayerConfig]string) string {
+	var b strings.Builder
+	sep := ""
+	for _, l := range st.Layers {
+		if l.Config == nil {
+			continue // unweighted
+		}
+		name, ok := names[*l.Config]
+		if !ok {
+			name = l.Config.String()
+			names[*l.Config] = name
+		}
+		b.WriteString(sep)
+		b.WriteString(name)
+		sep = "; "
 	}
-	return strings.Join(parts, "; ")
+	return b.String()
 }

@@ -14,7 +14,6 @@ import (
 	"cnnrev/internal/corrupt"
 	"cnnrev/internal/defense"
 	"cnnrev/internal/experiments"
-	"cnnrev/internal/memtrace"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/structrev"
 )
@@ -69,15 +68,18 @@ type attackRequest struct {
 	Dataflow string `json:"dataflow,omitempty" query:"dataflow"`
 }
 
-// uploadParams is the trace endpoint's input: the decoded upload, its
+// uploadParams is the trace endpoint's input: the serialized upload, its
 // SHA-256 (which stands in for the trace in the cache key), and the input
-// geometry, element size and class count the adversary declares.
+// geometry, element size and class count the adversary declares. Raw is
+// the upload exactly as received, which the strict decoder accepts only
+// in its canonical encoding; it travels behind the JSON in the job
+// payload, and the worker decodes it once.
 type uploadParams struct {
-	Trace  *memtrace.Trace `json:"-"`
-	SHA256 string          `json:"sha256"`
-	InW    int             `json:"inw" query:"inw"`
-	InD    int             `json:"ind" query:"ind"`
-	Elem   int             `json:"elem" query:"elem"`
+	Raw    []byte `json:"-"`
+	SHA256 string `json:"sha256"`
+	InW    int    `json:"inw" query:"inw"`
+	InD    int    `json:"ind" query:"ind"`
+	Elem   int    `json:"elem" query:"elem"`
 }
 
 // rankParams is the wire shape of core.RankConfig, which also carries the

@@ -204,7 +204,11 @@ func FuzzBindQuery(f *testing.F) {
 	} {
 		f.Add(q)
 	}
+	var upload bytes.Buffer
 	tr := &memtrace.Trace{BlockBytes: 4, Accesses: []memtrace.Access{{Cycle: 1, Addr: 0, Count: 2, Kind: memtrace.Read}}}
+	if err := tr.Write(&upload); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, _ := url.ParseQuery(raw) // what r.URL.Query() makes of it
 		req := &attackRequest{Upload: &uploadParams{Elem: 4}}
@@ -212,7 +216,7 @@ func FuzzBindQuery(f *testing.F) {
 		if bindQuery(q, req, &opts) != nil || req.validate() != nil {
 			return
 		}
-		req.Upload.Trace, req.Upload.SHA256 = tr, "sha"
+		req.Upload.Raw, req.Upload.SHA256 = upload.Bytes(), "sha"
 		payload, err := encodeRequest(req)
 		if err != nil {
 			t.Fatalf("accepted request does not encode: %v", err)

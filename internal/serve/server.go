@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"cnnrev/internal/jobstore"
+	"cnnrev/internal/memtrace"
 )
 
 // Server roles. A frontend serves the HTTP attack/job surface but runs no
@@ -124,9 +125,10 @@ var errDraining = errors.New("serve: server shutting down")
 
 // job is one claimed attack request as the worker executes it.
 type job struct {
-	id  string
-	ctx context.Context
-	req *attackRequest
+	id    string
+	ctx   context.Context
+	req   *attackRequest
+	trace *memtrace.Trace // the decoded upload; nil in simulate mode
 }
 
 // Server runs the job store's HTTP surface and (role permitting) its
@@ -398,6 +400,10 @@ func (s *Server) runClaimed(idx int, name string, c *jobstore.Claim) {
 	defer s.met.running.Add(-1)
 
 	req, derr := decodeRequest(c.Payload)
+	var tr *memtrace.Trace
+	if derr == nil {
+		tr, derr = decodeUpload(req)
+	}
 	if derr != nil {
 		s.met.failed.Add(1)
 		s.log.Error("job payload undecodable", "job", c.ID, "err", derr)
@@ -433,7 +439,7 @@ func (s *Server) runClaimed(idx int, name string, c *jobstore.Claim) {
 		"mode", req.mode(), "model", req.Model, "rank", req.Rank != nil,
 		"weights", req.Weights, "deadline", c.Deadline)
 
-	resp, status, err := s.execute(&job{id: c.ID, ctx: ctx, req: req})
+	resp, status, err := s.execute(&job{id: c.ID, ctx: ctx, req: req, trace: tr})
 
 	close(hbStop)
 	<-hbDone
@@ -486,17 +492,26 @@ func (s *Server) runClaimed(idx int, name string, c *jobstore.Claim) {
 
 // envelope marshals a finished response for the store. Only complete
 // (non-partial) 200s are cacheable: partials depend on where the deadline
-// struck, which is not a function of the cache key.
+// struck, which is not a function of the cache key. A cacheable envelope
+// also carries the body marshaled with the cached flag set, whatever this
+// process's own cache setting: over a shared store the frontend that
+// relays the result may cache it while this worker does not.
 func (s *Server) envelope(resp *attackResponse, status int) *resultEnvelope {
 	body, err := marshalResponse(resp)
 	if err != nil {
 		return &resultEnvelope{Status: http.StatusInternalServerError, ErrMsg: "response encoding failed: " + err.Error()}
 	}
-	return &resultEnvelope{
-		Status:    status,
-		Body:      body,
-		Cacheable: status == http.StatusOK && !resp.Partial,
+	env := &resultEnvelope{Status: status, Body: body}
+	if status == http.StatusOK && !resp.Partial {
+		resp.Cached = true
+		env.Cached, err = marshalResponse(resp)
+		resp.Cached = false
+		if err != nil {
+			return &resultEnvelope{Status: http.StatusInternalServerError, ErrMsg: "response encoding failed: " + err.Error()}
+		}
+		env.Cacheable = true
 	}
+	return env
 }
 
 // runShared executes fn(0..n-1) with idle serve workers helping: up to
