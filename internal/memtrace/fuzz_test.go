@@ -3,7 +3,6 @@ package memtrace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"testing"
 )
 
@@ -121,58 +120,67 @@ func FuzzTraceDecode(f *testing.F) {
 	})
 }
 
-// FuzzTraceDecodeStream cross-checks the streaming Decoder against
-// DecodeTrace on arbitrary bytes: the two must accept exactly the same
-// inputs (DecodeTrace is built on the decoder, but with a size hint that
-// takes different validation paths — this pins their agreement) and decode
-// accepted inputs to identical traces. The committed FuzzTraceDecode crash
-// corpus is mirrored into this target's seed corpus.
+// FuzzTraceDecodeStream checks a trace the way revcnnd checks an upload:
+// CheckTrace sees the same bytes arrive in two chunkings the fuzzer
+// chooses. Each chunking is a list of step sizes, the byte counts of
+// successive deliveries (zero is a delivery of nothing), with whatever
+// the steps leave arriving last together with the end of the body. Both
+// chunkings must reach the same verdict with the same error text, and
+// that verdict must be DecodeTrace's: the check accepts exactly what
+// DecodeTrace accepts, however the bytes arrive.
 func FuzzTraceDecodeStream(f *testing.F) {
-	f.Add([]byte{})
+	// The first chunking of each seed delivers one byte at a time, the
+	// second in uneven pieces that split the header and records.
+	oneByte := func(raw []byte) []byte { return bytes.Repeat([]byte{1}, len(raw)) }
+	uneven := []byte{3, 21, 0, 7, 40, 1, 19}
+	add := func(raw []byte) { f.Add(raw, oneByte(raw), uneven) }
+	add([]byte{})
 	var empty bytes.Buffer
 	(&Trace{BlockBytes: 64}).Write(&empty)
-	f.Add(empty.Bytes())
+	add(empty.Bytes())
 	forged := append([]byte(nil), empty.Bytes()...)
 	binary.LittleEndian.PutUint64(forged[16:24], 1<<40)
-	f.Add(forged)
-	f.Add(overflowExtentBytes())
-	f.Add(highMagicBytes())
-	// A multi-record trace, plus the same trace with a trailing byte (the
-	// case the streaming path must catch with its EOF probe rather than a
-	// length check).
+	add(forged)
+	add(overflowExtentBytes())
+	add(highMagicBytes())
+	// A multi-record trace, plus the same trace with trailing bytes.
 	var multi bytes.Buffer
 	(&Trace{BlockBytes: 4, Accesses: []Access{
 		{Cycle: 1, Addr: 0, Count: 2, Kind: Read},
 		{Cycle: 2, Addr: 8, Count: 1, Kind: Write},
 		{Cycle: 3, Addr: 0, Count: 1, Kind: Read},
 	}}).Write(&multi)
-	f.Add(multi.Bytes())
-	f.Add(append(append([]byte(nil), multi.Bytes()...), 0x5A))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		want, werr := DecodeTrace(raw)
-		d := NewDecoder(bytes.NewReader(raw))
-		var accs []Access
-		var gerr error
-		for {
-			batch, err := d.Next()
-			if err == io.EOF {
-				break
+	add(multi.Bytes())
+	add(append(append([]byte(nil), multi.Bytes()...), 0x5A))
+	// Three trailing bytes: one at a time they arrive apart, in the uneven
+	// chunking together, so a text that counted them would differ.
+	add(append(append([]byte(nil), multi.Bytes()...), 0x5A, 0x5A, 0x5A))
+	f.Fuzz(func(t *testing.T, raw, steps1, steps2 []byte) {
+		check := func(steps []byte) error {
+			checked, end := 0, 0
+			for _, step := range steps {
+				end = min(end+int(step), len(raw))
+				var err error
+				if checked, err = CheckTrace(raw[:end], checked, false); err != nil {
+					return err
+				}
 			}
-			if err != nil {
-				gerr = err
-				break
+			_, err := CheckTrace(raw, checked, true)
+			return err
+		}
+		errText := func(err error) string {
+			if err == nil {
+				return "accepted"
 			}
-			accs = append(accs, batch...)
+			return err.Error()
 		}
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("decoders disagree on acceptance: stream=%v decode=%v", gerr, werr)
+		_, derr := DecodeTrace(raw)
+		want := errText(derr)
+		if got := errText(check(steps1)); got != want {
+			t.Fatalf("first chunking: %s; DecodeTrace: %s", got, want)
 		}
-		if werr != nil {
-			return
-		}
-		if d.BlockBytes() != want.BlockBytes || !sameAccesses(accs, want.Accesses) {
-			t.Fatalf("streaming decode of an accepted buffer diverges: %d accesses block %d, want %d accesses block %d",
-				len(accs), d.BlockBytes(), len(want.Accesses), want.BlockBytes)
+		if got := errText(check(steps2)); got != want {
+			t.Fatalf("second chunking: %s; DecodeTrace: %s", got, want)
 		}
 	})
 }

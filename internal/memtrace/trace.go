@@ -135,81 +135,129 @@ func (t *Trace) Write(w io.Writer) error {
 // and the bound keeps downstream block arithmetic far from overflow.
 const MaxBlockBytes = 1 << 20
 
-// decodeAccess parses one 21-byte record, rejecting direction bytes that
-// are neither Read nor Write: silently coercing a corrupt byte into a Kind
-// would misclassify reads versus writes downstream, where the structure
-// attack's RAW segmentation depends on the distinction. It also rejects
-// records whose byte extent Addr + Count·blockBytes wraps past 2^64: such an
-// access yields an inverted Interval{Lo > Hi}, which corrupts the region
-// index and segmentation on hostile uploads.
-func decodeAccess(rec []byte, blockBytes uint64) (Access, error) {
-	if rec[20] > uint8(Write) {
-		return Access{}, fmt.Errorf("invalid kind %d", rec[20])
+// parseHeader is the header rule: it validates the 24-byte header and
+// returns its block size and declared record count.
+func parseHeader(hdr []byte) (block, n uint64, err error) {
+	magic := binary.LittleEndian.Uint64(hdr[0:8])
+	block = binary.LittleEndian.Uint64(hdr[8:16])
+	n = binary.LittleEndian.Uint64(hdr[16:24])
+	if magic != uint64(traceMagic) {
+		return 0, 0, fmt.Errorf("memtrace: decode: bad magic %#x", magic)
 	}
-	a := Access{
-		Cycle: binary.LittleEndian.Uint64(rec[0:8]),
-		Addr:  binary.LittleEndian.Uint64(rec[8:16]),
-		Count: binary.LittleEndian.Uint32(rec[16:20]),
-		Kind:  Kind(rec[20]),
+	if block == 0 || block > MaxBlockBytes {
+		return 0, 0, fmt.Errorf("memtrace: decode: implausible block size %d", block)
 	}
-	// Count·blockBytes cannot itself overflow: Count < 2^32 and blockBytes
-	// ≤ MaxBlockBytes = 2^20, so the product stays below 2^52.
-	if span := uint64(a.Count) * blockBytes; a.Addr > ^uint64(0)-span {
-		return Access{}, fmt.Errorf("extent %#x+%d blocks overflows the address space", a.Addr, a.Count)
-	}
-	return a, nil
+	return block, n, nil
 }
 
-// DecodeTrace parses a serialized trace from an in-memory buffer — the
-// hardened entry point for untrusted input (e.g. service uploads). Knowing
-// the total input length up front, it validates the header's declared record
-// count against the bytes actually present before any allocation: a forged
-// count can never make the decoder allocate more than the input itself
-// could hold. Block sizes outside (0, MaxBlockBytes] and trailing bytes
-// past the declared records are rejected, which makes the accepted encoding
-// canonical — any buffer DecodeTrace accepts re-encodes via Write to the
-// identical bytes. The records decode straight into the returned trace's
-// exactly sized slice, through the streaming Decoder's header and record
-// checks.
-func DecodeTrace(data []byte) (*Trace, error) {
+// checkRecords is the per-record rule, applied to recs, whole records
+// numbered from first. It rejects direction bytes that are neither Read nor
+// Write: silently coercing a corrupt byte into a Kind would misclassify
+// reads versus writes downstream, where the structure attack's RAW
+// segmentation depends on the distinction. It also rejects records whose
+// byte extent Addr + Count·blockBytes wraps past 2^64: such an access
+// yields an inverted Interval{Lo > Hi}, which corrupts the region index
+// and segmentation on hostile uploads.
+func checkRecords(recs []byte, blockBytes, first uint64) error {
+	for i := first; len(recs) > 0; i++ {
+		rec := recs[:accessRecordBytes]
+		recs = recs[accessRecordBytes:]
+		if rec[20] > uint8(Write) {
+			return fmt.Errorf("memtrace: decode: access %d: invalid kind %d", i, rec[20])
+		}
+		addr := binary.LittleEndian.Uint64(rec[8:16])
+		count := binary.LittleEndian.Uint32(rec[16:20])
+		// Count·blockBytes cannot itself overflow: Count < 2^32 and
+		// blockBytes ≤ MaxBlockBytes = 2^20, so the product stays below 2^52.
+		if addr > ^uint64(0)-uint64(count)*blockBytes {
+			return fmt.Errorf("memtrace: decode: access %d: extent %#x+%d blocks overflows the address space", i, addr, count)
+		}
+	}
+	return nil
+}
+
+// CheckTrace checks data, a serialized trace or the part of one that has
+// arrived so far, against the header and per-record rules without
+// allocating. checked is what an earlier call on a shorter part of the same
+// trace returned, or 0, so a trace that arrives in pieces has each record
+// checked once; the result is the length of data this call has passed: the
+// header and every complete declared record. With final false more bytes
+// may follow, and only what is present is judged; with final true data is
+// the whole trace, and a short header or missing records are errors too.
+//
+// Problems are reported in one order, and with the same text, however the
+// trace is split: a bad header, then the first bad record, then data past
+// the declared records, then missing records. The declared record count
+// is only compared with the bytes present; nothing is sized by it.
+// CheckTrace(data, 0, true) fails exactly when DecodeTrace(data) does,
+// with the same error.
+func CheckTrace(data []byte, checked int, final bool) (int, error) {
 	if len(data) < traceHeaderBytes {
-		return nil, fmt.Errorf("memtrace: decode: %d bytes is shorter than the %d-byte header", len(data), traceHeaderBytes)
+		if final {
+			return 0, fmt.Errorf("memtrace: decode: %d bytes is shorter than the %d-byte header", len(data), traceHeaderBytes)
+		}
+		return 0, nil
 	}
 	block, n, err := parseHeader(data[:traceHeaderBytes])
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	body := uint64(len(data) - traceHeaderBytes)
-	if n > body/accessRecordBytes {
-		return nil, fmt.Errorf("memtrace: decode: header declares %d records but only %d bytes follow", n, body)
+	whole := min(n, body/accessRecordBytes)
+	from := max(checked, traceHeaderBytes)
+	checked = traceHeaderBytes + int(whole)*accessRecordBytes
+	if from < checked {
+		if err := checkRecords(data[from:checked], block, uint64(from-traceHeaderBytes)/accessRecordBytes); err != nil {
+			return from, err
+		}
 	}
-	if n*accessRecordBytes != body {
-		return nil, fmt.Errorf("memtrace: decode: %d trailing bytes past %d declared records", body-n*accessRecordBytes, n)
+	if whole == n && body > n*accessRecordBytes {
+		return checked, fmt.Errorf("memtrace: decode: trailing data past %d declared records", n)
 	}
-	accs := make([]Access, n)
-	if err := decodeRecords(accs, data[traceHeaderBytes:], block, 0); err != nil {
-		return nil, err
+	if final && whole < n {
+		return checked, fmt.Errorf("memtrace: decode: header declares %d records but only %d bytes follow", n, body)
 	}
-	return &Trace{BlockBytes: int(block), Accesses: accs}, nil
+	return checked, nil
 }
 
-// ReadTrace deserializes a trace written by Write from a stream of unknown
-// length. It is the streaming Decoder drained into one trace, so it accepts
-// exactly the inputs DecodeTrace accepts: a forged record count hits EOF
-// instead of allocating, and data past the declared records is an error.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	d := NewDecoder(r)
-	var accs []Access
-	for {
-		batch, err := d.Next()
-		if err == io.EOF {
-			return &Trace{BlockBytes: d.BlockBytes(), Accesses: accs}, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		accs = append(accs, batch...)
+// DecodeTrace parses a serialized trace from an in-memory buffer — the
+// hardened entry point for untrusted input, and the only code that turns
+// trace bytes into Access values. It accepts exactly what CheckTrace
+// accepts as a whole trace, and fails with CheckTrace's error. The check
+// runs first, so a forged record count is caught before anything is
+// allocated, and the records then decode straight into the returned
+// trace's exactly sized slice. Block sizes outside (0, MaxBlockBytes] and
+// data past the declared records are rejected, which makes the accepted
+// encoding canonical: any buffer DecodeTrace accepts re-encodes via Write
+// to the identical bytes.
+func DecodeTrace(data []byte) (*Trace, error) {
+	if _, err := CheckTrace(data, 0, true); err != nil {
+		return nil, err
 	}
+	recs := data[traceHeaderBytes:]
+	accs := make([]Access, len(recs)/accessRecordBytes)
+	for i := range accs {
+		rec := recs[i*accessRecordBytes:][:accessRecordBytes]
+		accs[i] = Access{
+			Cycle: binary.LittleEndian.Uint64(rec[0:8]),
+			Addr:  binary.LittleEndian.Uint64(rec[8:16]),
+			Count: binary.LittleEndian.Uint32(rec[16:20]),
+			Kind:  Kind(rec[20]),
+		}
+	}
+	return &Trace{BlockBytes: int(binary.LittleEndian.Uint64(data[8:16])), Accesses: accs}, nil
+}
+
+// ReadTrace deserializes a trace written by Write from r: it reads r to
+// the end and decodes the bytes with DecodeTrace, so it accepts exactly
+// what DecodeTrace accepts. A forged record count buys no memory, because
+// the buffer grows only with the bytes r yields.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("memtrace: read: %w", err)
+	}
+	return DecodeTrace(data)
 }
 
 // Recorder accumulates accesses during simulation, merging bursts that

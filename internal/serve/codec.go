@@ -3,9 +3,11 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"cnnrev/internal/memtrace"
@@ -82,9 +84,9 @@ const maxUploadPresize = 1 << 20
 var unknownSHA256 = strings.Repeat("0", 2*sha256.Size)
 
 // uploadPayload receives a trace upload straight into its job payload: the
-// body's bytes are appended behind room reserved for the length prefix and
-// request header, which seal writes once the upload's SHA-256 is known.
-// The payload is byte for byte what encodeRequest returns, and the upload
+// body's bytes land behind room reserved for the length prefix and request
+// header, which seal writes once the upload's SHA-256 is known. The
+// payload is byte for byte what encodeRequest returns, and the upload
 // exists once on the frontend.
 type uploadPayload struct {
 	buf []byte
@@ -104,16 +106,45 @@ func newUploadPayload(req *attackRequest, sizeHint int64) (*uploadPayload, error
 	return &uploadPayload{buf: make([]byte, hdr, hdr+int(min(max(sizeHint, 0), maxUploadPresize))), hdr: hdr}, nil
 }
 
-// Write appends upload bytes to the payload.
-func (p *uploadPayload) Write(b []byte) (int, error) {
-	p.buf = append(p.buf, b...)
-	return len(b), nil
+// receive reads body to its end straight into the payload's spare
+// capacity, with no copy buffer, and checks the upload with
+// memtrace.CheckTrace as the bytes land, so a corrupt upload fails at its
+// first bad record without being read further. Bytes that arrive with a
+// read error are checked before the error is returned, which keeps the
+// outcome independent of how the body is chunked. A full buffer grows only
+// once another byte has arrived: one that Content-Length sized exactly
+// holds the whole upload, and growing it would copy every byte.
+func (p *uploadPayload) receive(body io.Reader) error {
+	checked := 0
+	for {
+		var n int
+		var rerr error
+		if len(p.buf) < cap(p.buf) {
+			n, rerr = body.Read(p.buf[len(p.buf):cap(p.buf)])
+			p.buf = p.buf[:len(p.buf)+n]
+		} else {
+			var probe [1]byte
+			n, rerr = body.Read(probe[:])
+			p.buf = append(p.buf, probe[:n]...)
+		}
+		var err error
+		if checked, err = memtrace.CheckTrace(p.buf[p.hdr:], checked, rerr == io.EOF); err != nil {
+			return err
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return fmt.Errorf("serve: read trace upload: %w", rerr)
+		}
+	}
 }
 
 // seal completes req with the upload's hex SHA-256 and bytes, writes its
 // header into the reserved room and returns the job payload.
-func (p *uploadPayload) seal(req *attackRequest, sha string) ([]byte, error) {
-	req.Upload.SHA256, req.Upload.Raw = sha, p.buf[p.hdr:]
+func (p *uploadPayload) seal(req *attackRequest) ([]byte, error) {
+	sum := sha256.Sum256(p.buf[p.hdr:])
+	req.Upload.SHA256, req.Upload.Raw = hex.EncodeToString(sum[:]), p.buf[p.hdr:]
 	hb, err := json.Marshal(req)
 	if err != nil {
 		return nil, err

@@ -3,17 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"cnnrev/internal/jobstore"
-	"cnnrev/internal/memtrace"
 	"cnnrev/internal/structrev"
 )
 
@@ -120,13 +116,13 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace accepts a raw serialized memtrace body plus query parameters
 // describing what the adversary knows (input geometry and class count).
-// The body streams from the wire straight into the job payload
-// (uploadPayload), SHA-256-hashed in flight to form the result-cache key
-// and checked record by record by the incremental decoder, so a corrupt
-// upload fails at its first bad record and an accepted one is kept once,
-// as the 21 bytes per record it arrived as. Query parameters are validated
-// before the body is touched, so a bad request costs a header read rather
-// than a multi-gigabyte upload.
+// The body is read straight into the job payload (uploadPayload) and
+// checked record by record as it lands, so a corrupt upload fails at its
+// first bad record and an accepted one is kept once, as the 21 bytes per
+// record it arrived as; the finished upload is SHA-256-hashed once to form
+// the result-cache key. Query parameters are validated before the body is
+// touched, so a bad request costs a header read rather than a
+// multi-gigabyte upload.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength > s.cfg.MaxUploadBytes {
 		http.Error(w, fmt.Sprintf("trace exceeds %d byte upload limit", s.cfg.MaxUploadBytes), http.StatusRequestEntityTooLarge)
@@ -145,34 +141,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	req.MaxStructures = s.solverCap(req.MaxStructures)
 
-	// Stream the body through hash, payload and decoder in one pass. The
-	// decoder only validates; its batches are dropped. MaxBytesReader still
-	// guards chunked uploads that carry no Content-Length; its error
-	// surfaces through the decoder wrapped, so errors.As recovers it here.
+	// MaxBytesReader guards chunked uploads that carry no Content-Length;
+	// its error comes back from receive wrapped, so errors.As recovers it.
 	decodeStart := time.Now()
 	pb, err := newUploadPayload(req, r.ContentLength)
 	if err != nil {
 		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	hash := sha256.New()
-	dec := memtrace.NewDecoder(io.TeeReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), io.MultiWriter(hash, pb)))
-	for {
-		_, derr := dec.Next()
-		if derr == io.EOF {
-			break
-		}
-		if derr != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(derr, &tooBig) {
-				http.Error(w, fmt.Sprintf("trace exceeds %d byte upload limit", tooBig.Limit), http.StatusRequestEntityTooLarge)
-				return
-			}
-			http.Error(w, derr.Error(), http.StatusBadRequest)
+	if err := pb.receive(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("trace exceeds %d byte upload limit", tooBig.Limit), http.StatusRequestEntityTooLarge)
 			return
 		}
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	payload, err := pb.seal(req, hex.EncodeToString(hash.Sum(nil)))
+	payload, err := pb.seal(req)
 	if err != nil {
 		http.Error(w, "request encoding failed: "+err.Error(), http.StatusInternalServerError)
 		return
